@@ -89,7 +89,8 @@ let read_spec_file path =
 
 let issue =
   let doc = "Issue rate (instructions per cycle): 1, 2, 4 or 8." in
-  Arg.(value & opt int 4 & info [ "issue" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (pos_int ~what:"--issue") 4 & info [ "issue" ] ~docv:"N" ~doc)
 
 let core_int =
   let doc = "Core integer registers visible to the instruction set." in
@@ -113,7 +114,10 @@ let connect_lat =
 
 let mem_channels =
   let doc = "Memory channels per cycle (default: 2, or 4 at 8-issue)." in
-  Arg.(value & opt (some int) None & info [ "mem-channels" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (pos_int ~what:"--mem-channels")) None
+    & info [ "mem-channels" ] ~docv:"N" ~doc)
 
 let extra_stage =
   let doc = "Model an extra decode stage for mapping-table access." in

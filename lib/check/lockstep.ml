@@ -16,6 +16,7 @@
 open Rc_isa
 open Rc_core
 module Machine = Rc_machine.Machine
+module Timing = Rc_machine.Machine.Timing
 module Iexec = Rc_interp.Iexec
 
 type result =
@@ -87,13 +88,14 @@ let output_mismatch (m : Machine.t) (o : Iexec.t) =
     !bad
 
 let compare_state (m : Machine.t) (o : Iexec.t) =
-  if m.Machine.halted <> o.Iexec.halted then
+  let halted = m.Machine.timing.Timing.halted in
+  if halted <> o.Iexec.halted then
     Some
       ( "halted",
         Fmt.str "machine %shalted, oracle %shalted"
-          (if m.Machine.halted then "" else "not ")
+          (if halted then "" else "not ")
           (if o.Iexec.halted then "" else "not ") )
-  else if m.Machine.pc <> o.Iexec.pc && not m.Machine.halted then
+  else if m.Machine.pc <> o.Iexec.pc && not halted then
     Some ("pc", Fmt.str "machine pc %d, oracle pc %d" m.Machine.pc o.Iexec.pc)
   else
     match output_mismatch m o with
@@ -143,6 +145,7 @@ let mem_mismatch (m : Machine.t) (o : Iexec.t) =
 let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
     (image : Image.t) =
   let m = Machine.create cfg image in
+  let st = m.Machine.timing.Timing.stats in
   let o =
     Iexec.create ~arch:true
       ~model:(Option.value oracle_model ~default:cfg.Rc_machine.Config.model)
@@ -152,13 +155,13 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
   in
   let diverged = ref None in
   (try
-     while !diverged = None && not m.Machine.halted do
-       if m.Machine.stats.Machine.cycles > fuel_cycles then
+     while !diverged = None && not m.Machine.timing.Timing.halted do
+       if st.Timing.cycles > fuel_cycles then
          failwith "lockstep: machine out of fuel";
-       let issued0 = m.Machine.stats.Machine.issued in
+       let issued0 = st.Timing.issued in
        let pc0 = m.Machine.pc in
        Machine.run_cycle m;
-       let delta = m.Machine.stats.Machine.issued - issued0 in
+       let delta = st.Timing.issued - issued0 in
        for _ = 1 to delta do
          Iexec.step o
        done;
@@ -171,7 +174,7 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
              Some
                (Report.locate image
                   (Report.v ~kind:"lockstep" ~field ~pc:pc0
-                     ~cycle:m.Machine.stats.Machine.cycles detail))
+                     ~cycle:st.Timing.cycles detail))
      done
    with
   | Machine.Simulation_error msg ->
@@ -179,14 +182,14 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
         Some
           (Report.locate image
              (Report.v ~kind:"exec-error" ~field:"machine" ~pc:m.Machine.pc
-                ~cycle:m.Machine.stats.Machine.cycles
+                ~cycle:st.Timing.cycles
                 ("machine raised: " ^ msg)))
   | Iexec.Exec_error msg ->
       diverged :=
         Some
           (Report.locate image
              (Report.v ~kind:"exec-error" ~field:"oracle" ~pc:o.Iexec.pc
-                ~cycle:m.Machine.stats.Machine.cycles
+                ~cycle:st.Timing.cycles
                 ("oracle raised: " ^ msg))));
   match !diverged with
   | Some r -> Diverged r
@@ -195,10 +198,10 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
       | Some detail ->
           Diverged
             (Report.v ~kind:"lockstep" ~field:"memory"
-               ~cycle:m.Machine.stats.Machine.cycles detail)
+               ~cycle:st.Timing.cycles detail)
       | None ->
           Agree
             {
-              cycles = m.Machine.stats.Machine.cycles;
+              cycles = st.Timing.cycles;
               steps = o.Iexec.steps;
             })

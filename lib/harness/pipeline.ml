@@ -39,6 +39,7 @@ let options ?(opt = Rc_opt.Pass.Ilp Rc_opt.Pass.default_unroll) ?(rc = false)
     ?(model = Rc_core.Model.default) ?(combine = true) ?connect_dispatch
     ?(issue = 4) ?mem_channels ?(lat = Latency.default) ?(extra_stage = false)
     () =
+  if issue < 1 then invalid_arg "Pipeline.options: issue < 1";
   let total_int = match total_int with Some t -> t | None -> max 256 core_int in
   let total_float =
     match total_float with Some t -> t | None -> max 256 core_float
@@ -48,6 +49,7 @@ let options ?(opt = Rc_opt.Pass.Ilp Rc_opt.Pass.default_unroll) ?(rc = false)
     | Some m -> m
     | None -> Rc_machine.Config.default_mem_channels issue
   in
+  if mem_channels < 1 then invalid_arg "Pipeline.options: mem_channels < 1";
   {
     opt;
     rc;

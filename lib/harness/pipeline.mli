@@ -30,7 +30,9 @@ type options = {
 
 (** Defaults: ILP optimisation (unroll 4), no RC, 32/32 core registers,
     256-register physical files, model 3, combined connects, 4-issue,
-    2-cycle loads, zero-cycle connects. *)
+    2-cycle loads, zero-cycle connects.
+    @raise Invalid_argument when [issue] or [mem_channels] is below 1
+    (the scheduler could never fill a group). *)
 val options :
   ?opt:Rc_opt.Pass.level ->
   ?rc:bool ->

@@ -38,6 +38,8 @@ let v ?(issue = 4) ?mem_channels ?(lat = Latency.default)
   let mem_channels =
     match mem_channels with Some m -> m | None -> default_mem_channels issue
   in
+  if mem_channels < 1 then invalid_arg "Config.v: mem_channels < 1";
+  if fuel < 1 then invalid_arg "Config.v: fuel < 1";
   let connect_dispatch =
     match connect_dispatch with Some c -> c | None -> `Extra issue
   in

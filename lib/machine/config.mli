@@ -32,7 +32,8 @@ type t = {
 val default_mem_channels : int -> int
 
 (** [connect_dispatch] defaults to [`Extra issue].
-    @raise Invalid_argument when [issue < 1]. *)
+    @raise Invalid_argument when [issue], [mem_channels] or [fuel] is
+    below 1. *)
 val v :
   ?issue:int ->
   ?mem_channels:int ->

@@ -1,5 +1,6 @@
 (** The execution-driven simulator: functional execution of architectural
-    form machine code, with cycle-accurate in-order superscalar timing.
+    form machine code, timed by the in-order superscalar timing core
+    {!Timing} — the one the trace-replay engine also drives.
 
     Each cycle, instructions issue in program order until the issue rate
     is reached or an instruction cannot issue because:
@@ -12,8 +13,8 @@
       entries were updated by a connect issued this same cycle (the
       zero-cycle implementation forwards through dispatch instead,
       section 2.4, and never stalls for this reason);
-    - a taken control transfer ends the issue group; a mispredicted
-      conditional branch additionally pays the front-end redirect
+    - a mispredicted conditional branch, a trap or an [rfe] ends the
+      issue group; the mispredict also pays the front-end redirect
       penalty (one more cycle with the extra RC pipeline stage).
 
     Register accesses go through the register mapping table whenever the
@@ -27,29 +28,6 @@ open Rc_core
 exception Simulation_error of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Simulation_error s)) fmt
-
-type stats = {
-  mutable cycles : int;
-  mutable issued : int;  (** dynamic instructions, connects included *)
-  mutable connects : int;
-  mutable extra_connects : int;
-      (** connects dispatched through the extra connect budget — they do
-          not consume regular issue slots (section 2.4) *)
-  mutable mem_ops : int;
-  mutable branches : int;
-  mutable mispredicts : int;
-  mutable data_stalls : int;  (** group-ending operand-not-ready events *)
-  mutable map_stalls : int;  (** 1-cycle-connect same-group conflicts *)
-  mutable channel_stalls : int;
-  (* Slot-level stall attribution: every issue slot a cycle leaves
-     unused is charged to exactly one reason, maintaining
-     [cycles * issue = (issued - extra_connects) + sum of lost_*]. *)
-  mutable lost_data : int;  (** operand interlock *)
-  mutable lost_map : int;  (** mapping-table conflict / connect budget *)
-  mutable lost_channel : int;  (** memory channel busy *)
-  mutable lost_branch : int;  (** control redirect (mispredict, trap, rfe) *)
-  mutable lost_fetch : int;  (** fetch exhausted (halt) *)
-}
 
 (** Per-cycle observation delivered to an attached observer: the slots
     issued and lost during one {!run_cycle} (a mispredicted branch's
@@ -68,62 +46,108 @@ type cycle_sample = {
   s_lost_fetch : int;
 }
 
-type t = {
-  cfg : Config.t;
-  image : Image.t;
-  pre : Dins.t array;
-      (** [image.code] predecoded once under [cfg.lat] (see {!Rc_isa.Dins}) *)
-  iregs : int64 array;
-  fregs : float array;
-  iready : int array;
-  fready : int array;
-  imap : Map_table.t;
-  fmap : Map_table.t;
-  psw : Psw.t;
-  mem : Bytes.t;
-  mutable pc : int;
-  mutable halted : bool;
-  (* The output stream, a growable buffer in emission order (an [Emit]
-     appends at [out_len]; no final reversal). *)
-  mutable out : int64 array;
-  mutable out_len : int;
-  stats : stats;
-  (* trap state *)
-  mutable epc : int;
-  mutable saved_psw : Psw.t option;
-  mutable pending_interrupt : bool;
-  mutable observer : (cycle_sample -> unit) option;
-      (** when set, called once per {!run_cycle} with that cycle's slot
-          accounting; [None] costs one untaken branch per cycle *)
-  mutable recorder : Dtrace.builder option;
-      (** when set, every issued instruction appends its resolved
-          operands and branch outcome; [None] costs one untaken branch
-          per issued instruction *)
-  mutable rec_taken : bool;
-      (** outcome of the branch currently being issued, for the
-          recorder *)
+type result = {
+  cycles : int;
+  issued : int;
+  connects : int;
+  extra_connects : int;
+  mem_ops : int;
+  branches : int;
+  mispredicts : int;
+  data_stalls : int;
+  map_stalls : int;
+  channel_stalls : int;
+  lost_data : int;
+  lost_map : int;
+  lost_channel : int;
+  lost_branch : int;
+  lost_fetch : int;
+  output : int64 list;
+  checksum : int64;
 }
 
-let create (cfg : Config.t) (image : Image.t) =
-  let mem = Bytes.make image.Image.mem_size '\000' in
-  List.iter (fun (addr, init) -> Image.write_init mem addr init) image.Image.data_image;
-  let t =
+let lost_slots r =
+  r.lost_data + r.lost_map + r.lost_channel + r.lost_branch + r.lost_fetch
+
+(** The accounting identity the attribution maintains:
+    [cycles * issue = slot-consuming issues + every lost slot].
+    Connects dispatched through the extra budget do not consume issue
+    slots and are excluded from the left-hand total. *)
+let slot_invariant_holds ~issue r =
+  (r.cycles * issue) = r.issued - r.extra_connects + lost_slots r
+
+let checksum_of_output output =
+  List.fold_left
+    (fun acc v -> Int64.add (Int64.mul acc 1000003L) v)
+    0x9E3779B9L output
+
+(* --- the timing core ------------------------------------------------------ *)
+
+(* Everything that decides when an instruction issues, and nothing that
+   decides what it computes.  Execution ([run_cycle] below) and trace
+   replay ([Trace_replay]) both feed it the same facts per dynamic
+   instruction — the predecoded instruction, its resolved physical
+   operands, the map-enable bit and the branch outcome — so they time
+   identically by construction.  The per-instruction functions are
+   [@inline] and closure-free so the execute loop, in this compilation
+   unit, compiles them in place even under [-opaque]. *)
+module Timing = struct
+  type stats = {
+    mutable cycles : int;
+    mutable issued : int;  (** dynamic instructions, connects included *)
+    mutable connects : int;
+    mutable extra_connects : int;
+        (** connects dispatched through the extra connect budget — they
+            do not consume regular issue slots (section 2.4) *)
+    mutable mem_ops : int;
+    mutable branches : int;
+    mutable mispredicts : int;
+    mutable data_stalls : int;  (** group-ending operand-not-ready events *)
+    mutable map_stalls : int;  (** 1-cycle-connect same-group conflicts *)
+    mutable channel_stalls : int;
+    (* Slot-level stall attribution: every issue slot a cycle leaves
+       unused is charged to exactly one reason, maintaining
+       [cycles * issue = (issued - extra_connects) + sum of lost_*]. *)
+    mutable lost_data : int;  (** operand interlock *)
+    mutable lost_map : int;  (** mapping-table conflict / connect budget *)
+    mutable lost_channel : int;  (** memory channel busy *)
+    mutable lost_branch : int;  (** control redirect (mispredict, trap, rfe) *)
+    mutable lost_fetch : int;  (** fetch exhausted (halt) *)
+  }
+
+  (* Why an issue group ends — [Ready] when it does not.  [Full] (issue
+     slots used up) counts no stall; [Redirect] (mispredict, trap, rfe)
+     and [Fetch] (halt) end a group after an instruction issued. *)
+  type cause = Ready | Full | Map | Channel | Data | Redirect | Fetch
+
+  type t = {
+    stats : stats;
+    iready : int array;  (** cycle each integer physical register is ready *)
+    fready : int array;
+    mutable slots : int;  (** issue slots left in the open cycle *)
+    mutable cslots : int;  (** extra connect-dispatch slots left *)
+    mutable mem_free : int;  (** memory channels left *)
+    mutable pending : (Reg.cls * Insn.map_kind * int) list;
+        (** map entries touched by connects issued this cycle *)
+    mutable cycle : int;  (** [stats.cycles] when the open cycle began *)
+    mutable halted : bool;
+    issue : int;
+    budget : int;  (** per-cycle connect dispatch budget; 0 when shared *)
+    shared : bool;
+    channels : int;
+    connect_lat : int;
+    penalty : int;
+    fuel : int;
+    log_writes : bool;
+    mutable written : int array;
+    mutable n_written : int;
+  }
+
+  let create ?(log_writes = false) (cfg : Config.t) =
+    let budget =
+      match cfg.Config.connect_dispatch with `Shared -> 0 | `Extra b -> b
+    in
     {
-      cfg;
-      image;
-      pre = Dins.decode ~lat:cfg.Config.lat image.Image.code;
-      iregs = Array.make cfg.ifile.Reg.total 0L;
-      fregs = Array.make cfg.ffile.Reg.total 0.0;
-      iready = Array.make cfg.ifile.Reg.total 0;
-      fready = Array.make cfg.ffile.Reg.total 0;
-      imap = Map_table.create ~model:cfg.model cfg.ifile;
-      fmap = Map_table.create ~model:cfg.model cfg.ffile;
-      psw = Psw.create ();
-      mem;
-      pc = image.Image.entry;
-      halted = false;
-      out = [||];
-      out_len = 0;
       stats =
         {
           cycles = 0;
@@ -142,12 +166,277 @@ let create (cfg : Config.t) (image : Image.t) =
           lost_branch = 0;
           lost_fetch = 0;
         };
+      iready = Array.make cfg.Config.ifile.Reg.total 0;
+      fready = Array.make cfg.Config.ffile.Reg.total 0;
+      slots = cfg.Config.issue;
+      cslots = budget;
+      mem_free = cfg.Config.mem_channels;
+      pending = [];
+      cycle = 0;
+      halted = false;
+      issue = cfg.Config.issue;
+      budget;
+      shared = cfg.Config.connect_dispatch = `Shared;
+      channels = cfg.Config.mem_channels;
+      connect_lat = cfg.Config.lat.Latency.connect;
+      penalty = Config.mispredict_penalty cfg;
+      fuel = cfg.Config.fuel;
+      log_writes;
+      written = [||];
+      n_written = 0;
+    }
+
+  let[@inline never] grow_log c =
+    let a = Array.make (max 64 (2 * c.n_written)) 0 in
+    Array.blit c.written 0 a 0 c.n_written;
+    c.written <- a
+
+  let[@inline] log_write c w =
+    if c.n_written = Array.length c.written then grow_log c;
+    c.written.(c.n_written) <- w;
+    c.n_written <- c.n_written + 1
+
+  (* A scoreboard write: physical register [p] of [cls] is ready at
+     [at]. *)
+  let[@inline] ready_at c (cls : Reg.cls) p at =
+    match cls with
+    | Reg.Int ->
+        c.iready.(p) <- at;
+        if c.log_writes then log_write c (p lsl 1)
+    | Reg.Float ->
+        c.fready.(p) <- at;
+        if c.log_writes then log_write c ((p lsl 1) lor 1)
+
+  let[@inline] reg_ready c (cls : Reg.cls) p =
+    match cls with
+    | Reg.Int -> c.iready.(p) <= c.cycle
+    | Reg.Float -> c.fready.(p) <= c.cycle
+
+  (* The 1-cycle-connect conflict scan over architectural map entries.
+     A hand-written scan instead of [List.mem] so the (rare) check
+     allocates no comparison tuple. *)
+  let rec pending_mem cls (kind : Insn.map_kind) r = function
+    | [] -> false
+    | (c, k, i) :: rest ->
+        (Reg.equal_cls c cls && k = kind && i = r)
+        || pending_mem cls kind r rest
+
+  let src_blocked pending (d : Dins.t) =
+    (d.Dins.nsrcs > 0 && pending_mem d.Dins.s0c Insn.Read d.Dins.s0 pending)
+    || (d.Dins.nsrcs > 1 && pending_mem d.Dins.s1c Insn.Read d.Dins.s1 pending)
+    || (d.Dins.d >= 0 && pending_mem d.Dins.dc Insn.Write d.Dins.d pending)
+
+  (* The blocker order.  A group that fills up closes at once
+     ([issue]), so an open cycle always has a slot or a connect slot
+     left and "group full" needs no check here. *)
+  let[@inline] blocker c (d : Dins.t) ~map_on ~sp0 ~sp1 ~dp =
+    if
+      c.connect_lat > 0 && map_on
+      && match c.pending with [] -> false | p -> src_blocked p d
+    then Map
+    else if d.Dins.is_mem && c.mem_free <= 0 then Channel
+    else if d.Dins.is_connect && (not c.shared) && c.cslots <= 0 then Map
+    else if ((not d.Dins.is_connect) || c.shared) && c.slots <= 0 then Full
+    else if
+      (d.Dins.nsrcs < 1 || reg_ready c d.Dins.s0c sp0)
+      && (d.Dins.nsrcs < 2 || reg_ready c d.Dins.s1c sp1)
+      && (d.Dins.d < 0 || reg_ready c d.Dins.dc dp)
+    then Ready
+    else Data
+
+  (* End the open cycle: count its stall, charge its unused issue slots
+     to exactly one [lost_*] counter, advance the clock, check the fuel
+     (the only fuel check) and reset the per-cycle resources. *)
+  let close c cause =
+    let st = c.stats in
+    (match cause with
+    | Data -> st.data_stalls <- st.data_stalls + 1
+    | Map -> st.map_stalls <- st.map_stalls + 1
+    | Channel -> st.channel_stalls <- st.channel_stalls + 1
+    | Ready | Full | Redirect | Fetch -> ());
+    (* A cycle that ends with its issue slots used up charges nothing;
+       an already-halted machine charges its whole cycle to fetch. *)
+    let lost = c.slots in
+    if lost > 0 then begin
+      match cause with
+      | Data -> st.lost_data <- st.lost_data + lost
+      | Map -> st.lost_map <- st.lost_map + lost
+      | Channel -> st.lost_channel <- st.lost_channel + lost
+      | Redirect -> st.lost_branch <- st.lost_branch + lost
+      | Ready | Full | Fetch -> st.lost_fetch <- st.lost_fetch + lost
+    end;
+    st.cycles <- st.cycles + 1;
+    if (not c.halted) && st.cycles >= c.fuel then
+      fail "out of fuel after %d cycles" st.cycles;
+    c.slots <- c.issue;
+    c.cslots <- c.budget;
+    c.mem_free <- c.channels;
+    c.pending <- [];
+    c.cycle <- st.cycles
+
+  (* Issue [d], which [blocker] admitted, and apply its opcode's timing
+     effects; true when that closed the cycle (the group ended or
+     filled up). *)
+  let[@inline] issue c (d : Dins.t) ~map_on ~dp ~taken =
+    let st = c.stats in
+    if d.Dins.is_connect && not c.shared then begin
+      c.cslots <- c.cslots - 1;
+      st.extra_connects <- st.extra_connects + 1
+    end
+    else c.slots <- c.slots - 1;
+    st.issued <- st.issued + 1;
+    if d.Dins.is_mem then begin
+      c.mem_free <- c.mem_free - 1;
+      st.mem_ops <- st.mem_ops + 1
+    end;
+    let done_at = c.cycle + d.Dins.lat in
+    let ends =
+      match d.Dins.op with
+      | Opcode.Alu _ | Opcode.Alui _ | Opcode.Li | Opcode.Move | Opcode.Ftoi
+      | Opcode.Fcmp _ | Opcode.Ld _ | Opcode.Mfmap _ ->
+          (* the hardwired zero is never written *)
+          if dp <> Reg.zero then ready_at c Reg.Int dp done_at;
+          Ready
+      | Opcode.Fli | Opcode.Fmove | Opcode.Fpu _ | Opcode.Itof | Opcode.Fld ->
+          ready_at c Reg.Float dp done_at;
+          Ready
+      | Opcode.St _ | Opcode.Fst | Opcode.Emit | Opcode.Femit | Opcode.Mapen
+      | Opcode.Mtmap _ | Opcode.Nop ->
+          Ready
+      (* The front end follows correctly predicted control transfers
+         within an issue group ("all combinations of instruction
+         patterns are allowed to be executed in parallel", section 5.2);
+         a misprediction redirects fetch and pays the front-end
+         penalty, whose bubbles issue nothing. *)
+      | Opcode.Br _ ->
+          st.branches <- st.branches + 1;
+          if taken <> d.Dins.hint then begin
+            st.mispredicts <- st.mispredicts + 1;
+            st.cycles <- st.cycles + c.penalty;
+            st.lost_branch <- st.lost_branch + (c.penalty * c.issue);
+            Redirect
+          end
+          else Ready
+      | Opcode.Jmp | Opcode.Rts ->
+          st.branches <- st.branches + 1;
+          Ready
+      | Opcode.Jsr ->
+          st.branches <- st.branches + 1;
+          (* RA is written at its home location: the map was just
+             reset *)
+          ready_at c Reg.Int Reg.ra done_at;
+          Ready
+      | Opcode.Connect ->
+          st.connects <- st.connects + 1;
+          if map_on && c.connect_lat > 0 then
+            for i = 0 to Array.length d.Dins.connects - 1 do
+              let x = d.Dins.connects.(i) in
+              c.pending <- (x.Insn.ccls, x.Insn.cmap, x.Insn.ri) :: c.pending
+            done;
+          Ready
+      | Opcode.Trap | Opcode.Rfe -> Redirect
+      | Opcode.Halt ->
+          c.halted <- true;
+          Fetch
+    in
+    match ends with
+    | Ready ->
+        if c.slots <= 0 && c.cslots <= 0 then begin
+          close c Full;
+          true
+        end
+        else false
+    | cause ->
+        close c cause;
+        true
+
+  (* The entry-driven form trace replay uses: close cycles until [d]
+     can issue, then issue it. *)
+  let rec admit c d ~map_on ~sp0 ~sp1 ~dp ~taken =
+    match blocker c d ~map_on ~sp0 ~sp1 ~dp with
+    | Ready -> ignore (issue c d ~map_on ~dp ~taken : bool)
+    | cause ->
+        close c cause;
+        admit c d ~map_on ~sp0 ~sp1 ~dp ~taken
+
+  let result c ~output ~checksum : result =
+    let st = c.stats in
+    {
+      cycles = st.cycles;
+      issued = st.issued;
+      connects = st.connects;
+      extra_connects = st.extra_connects;
+      mem_ops = st.mem_ops;
+      branches = st.branches;
+      mispredicts = st.mispredicts;
+      data_stalls = st.data_stalls;
+      map_stalls = st.map_stalls;
+      channel_stalls = st.channel_stalls;
+      lost_data = st.lost_data;
+      lost_map = st.lost_map;
+      lost_channel = st.lost_channel;
+      lost_branch = st.lost_branch;
+      lost_fetch = st.lost_fetch;
+      output;
+      checksum;
+    }
+end
+
+(* --- the functional machine ---------------------------------------------- *)
+
+type t = {
+  cfg : Config.t;
+  image : Image.t;
+  pre : Dins.t array;
+      (** [image.code] predecoded once under [cfg.lat] (see {!Rc_isa.Dins}) *)
+  iregs : int64 array;
+  fregs : float array;
+  imap : Map_table.t;
+  fmap : Map_table.t;
+  psw : Psw.t;
+  mem : Bytes.t;
+  mutable pc : int;
+  (* The output stream, a growable buffer in emission order (an [Emit]
+     appends at [out_len]; no final reversal). *)
+  mutable out : int64 array;
+  mutable out_len : int;
+  timing : Timing.t;
+  (* trap state *)
+  mutable epc : int;
+  mutable saved_psw : Psw.t option;
+  mutable pending_interrupt : bool;
+  mutable observer : (cycle_sample -> unit) option;
+      (** when set, called once per {!run_cycle} with that cycle's slot
+          accounting; [None] costs one untaken branch per cycle *)
+  mutable recorder : Dtrace.builder option;
+      (** when set, every issued instruction appends its resolved
+          operands and branch outcome; [None] costs one untaken branch
+          per issued instruction *)
+}
+
+let create (cfg : Config.t) (image : Image.t) =
+  let mem = Bytes.make image.Image.mem_size '\000' in
+  List.iter (fun (addr, init) -> Image.write_init mem addr init) image.Image.data_image;
+  let t =
+    {
+      cfg;
+      image;
+      pre = Dins.decode ~lat:cfg.Config.lat image.Image.code;
+      iregs = Array.make cfg.ifile.Reg.total 0L;
+      fregs = Array.make cfg.ffile.Reg.total 0.0;
+      imap = Map_table.create ~model:cfg.model cfg.ifile;
+      fmap = Map_table.create ~model:cfg.model cfg.ffile;
+      psw = Psw.create ();
+      mem;
+      pc = image.Image.entry;
+      out = [||];
+      out_len = 0;
+      timing = Timing.create cfg;
       epc = 0;
       saved_psw = None;
       pending_interrupt = false;
       observer = None;
       recorder = None;
-      rec_taken = false;
     }
   in
   t.iregs.(Reg.sp) <- Int64.of_int image.Image.stack_top;
@@ -190,16 +479,7 @@ let[@inline] note_write t (cls : Reg.cls) r =
 
 let get_i t p = if p = Reg.zero then 0L else t.iregs.(p)
 let get_f t p = t.fregs.(p)
-
-let set_i t p v lat_done =
-  if p <> Reg.zero then begin
-    t.iregs.(p) <- v;
-    t.iready.(p) <- lat_done
-  end
-
-let set_f t p v lat_done =
-  t.fregs.(p) <- v;
-  t.fready.(p) <- lat_done
+let set_i t p v = if p <> Reg.zero then t.iregs.(p) <- v
 
 (* --- output stream ----------------------------------------------------- *)
 
@@ -267,387 +547,203 @@ let set_observer t obs = t.observer <- obs
 (** Attach (or clear) the dynamic-trace recorder. *)
 let set_recorder t r = t.recorder <- r
 
-(* --- one cycle ----------------------------------------------------------- *)
-
-(** Why an issue group ended with slots to spare: the three structural
-    blockers plus the two control reasons used only for slot
-    attribution. *)
-type issue_blocker = Data | Map | Channel | Redirect | Fetch
-
-exception Group_end of issue_blocker option
-
-(* Mapping-table entries touched by connects issued this cycle, for the
-   1-cycle connect latency model.  A hand-written scan instead of
-   [List.mem] so the (rare) check allocates no comparison tuple. *)
-let rec pending_mem cls (kind : Insn.map_kind) r = function
-  | [] -> false
-  | (c, k, i) :: rest ->
-      (Reg.equal_cls c cls && k = kind && i = r) || pending_mem cls kind r rest
-
-let src_blocked pending (d : Dins.t) =
-  (d.Dins.nsrcs > 0 && pending_mem d.Dins.s0c Insn.Read d.Dins.s0 pending)
-  || (d.Dins.nsrcs > 1 && pending_mem d.Dins.s1c Insn.Read d.Dins.s1 pending)
-  || (d.Dins.d >= 0 && pending_mem d.Dins.dc Insn.Write d.Dins.d pending)
-
-let[@inline] reg_ready t cycle (cls : Reg.cls) p =
-  match cls with
-  | Reg.Int -> t.iready.(p) <= cycle
-  | Reg.Float -> t.fready.(p) <= cycle
+(* --- one instruction ----------------------------------------------------- *)
 
 (* Destination writes of the execute arms.  [dp] is the resolved
    physical destination, [-1] when the instruction has none. *)
 
-let set_int t ~map_on (d : Dins.t) dp v done_at =
+let set_int t ~map_on (d : Dins.t) dp v =
   if dp < 0 then fail "missing destination at pc %d" t.pc;
-  set_i t dp v done_at;
+  set_i t dp v;
   if map_on then note_write t d.Dins.dc d.Dins.d
 
-let set_float t ~map_on (d : Dins.t) dp v done_at =
+let set_float t ~map_on (d : Dins.t) dp v =
   if dp < 0 then fail "missing destination at pc %d" t.pc;
-  set_f t dp v done_at;
+  t.fregs.(dp) <- v;
   if map_on then note_write t d.Dins.dc d.Dins.d
 
+(* The functional half of one issued instruction: its register, memory,
+   map, PSW and output effects.  Returns the next pc. *)
+let[@inline] execute t (d : Dins.t) ~map_on ~sp0 ~sp1 ~dp ~taken =
+  let pc = t.pc in
+  let next_pc = ref (pc + 1) in
+  (match d.Dins.op with
+  | Opcode.Alu a ->
+      set_int t ~map_on d dp (Opcode.eval_alu a (get_i t sp0) (get_i t sp1))
+  | Opcode.Alui a ->
+      set_int t ~map_on d dp (Opcode.eval_alu a (get_i t sp0) d.Dins.imm)
+  | Opcode.Li -> set_int t ~map_on d dp d.Dins.imm
+  | Opcode.Move -> set_int t ~map_on d dp (get_i t sp0)
+  | Opcode.Fli -> set_float t ~map_on d dp d.Dins.fimm
+  | Opcode.Fmove -> set_float t ~map_on d dp (get_f t sp0)
+  | Opcode.Fpu f ->
+      let b = if d.Dins.nsrcs > 1 then get_f t sp1 else 0.0 in
+      set_float t ~map_on d dp (Opcode.eval_fpu f (get_f t sp0) b)
+  | Opcode.Itof -> set_float t ~map_on d dp (Int64.to_float (get_i t sp0))
+  | Opcode.Ftoi -> set_int t ~map_on d dp (Int64.of_float (get_f t sp0))
+  | Opcode.Fcmp c ->
+      set_int t ~map_on d dp
+        (if Opcode.eval_fcond c (get_f t sp0) (get_f t sp1) then 1L else 0L)
+  | Opcode.Ld w ->
+      let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
+      set_int t ~map_on d dp (load_mem t w a)
+  | Opcode.St w ->
+      let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
+      store_mem t w a (get_i t sp0)
+  | Opcode.Fld ->
+      let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
+      set_float t ~map_on d dp (Int64.float_of_bits (load_mem t Opcode.W8 a))
+  | Opcode.Fst ->
+      let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
+      store_mem t Opcode.W8 a (Int64.bits_of_float (get_f t sp0))
+  | Opcode.Br _ -> if taken then next_pc := d.Dins.target
+  | Opcode.Jmp -> next_pc := d.Dins.target
+  | Opcode.Jsr ->
+      (* Reset the map, then write RA to its home location (section
+         4.1). *)
+      Map_table.reset t.imap;
+      Map_table.reset t.fmap;
+      set_i t Reg.ra (Int64.of_int (pc + 1));
+      next_pc := d.Dins.target
+  | Opcode.Rts ->
+      let ra = Int64.to_int (get_i t sp0) in
+      Map_table.reset t.imap;
+      Map_table.reset t.fmap;
+      next_pc := ra
+  | Opcode.Connect ->
+      if map_on then
+        for i = 0 to Array.length d.Dins.connects - 1 do
+          let c = d.Dins.connects.(i) in
+          match c.Insn.ccls with
+          | Reg.Int -> Map_table.apply t.imap c
+          | Reg.Float -> Map_table.apply t.fmap c
+        done
+  | Opcode.Emit -> emit t (get_i t sp0)
+  | Opcode.Femit -> emit t (Int64.bits_of_float (get_f t sp0))
+  | Opcode.Trap ->
+      enter_trap t ~return_to:(pc + 1);
+      next_pc := t.pc
+  | Opcode.Rfe ->
+      (match t.recorder with Some b -> Dtrace.invalidate b | None -> ());
+      (match t.saved_psw with
+      | Some saved ->
+          Psw.return_from_exception t.psw ~saved;
+          t.saved_psw <- None
+      | None -> fail "rfe without saved PSW");
+      next_pc := t.epc
+  | Opcode.Mapen -> t.psw.Psw.map_enable <- not (Int64.equal d.Dins.imm 0L)
+  (* Privileged map access (section 4.3): reads and writes the integer
+     mapping table directly, regardless of the PSW map-enable flag, so
+     handlers can save and restore connection state. *)
+  | Opcode.Mfmap kind ->
+      let idx = Int64.to_int d.Dins.imm in
+      let v =
+        match kind with
+        | Opcode.Read -> Map_table.read t.imap idx
+        | Opcode.Write -> Map_table.write t.imap idx
+      in
+      if dp < 0 then fail "mfmap needs a destination at pc %d" pc;
+      set_i t dp (Int64.of_int v)
+  | Opcode.Mtmap kind -> (
+      let idx = Int64.to_int d.Dins.imm in
+      let v = Int64.to_int (get_i t sp0) in
+      match kind with
+      | Opcode.Read -> Map_table.connect_use t.imap ~ri:idx ~rp:v
+      | Opcode.Write -> Map_table.connect_def t.imap ~ri:idx ~rp:v)
+  | Opcode.Halt | Opcode.Nop -> ());
+  !next_pc
+
+(* --- one cycle ----------------------------------------------------------- *)
+
+(* Issue in program order until the timing core closes the cycle: each
+   instruction's operands are resolved through the live maps, the core
+   is asked whether it can issue, and only then is it executed and
+   charged to the core. *)
 let run_cycle_raw t =
-  let cycle = t.stats.cycles in
+  let c = t.timing in
   if t.pending_interrupt then begin
     t.pending_interrupt <- false;
     enter_trap t ~return_to:t.pc
   end;
-  let slots = ref t.cfg.Config.issue in
-  (* Connects execute in the dispatch logic, not in a function unit
-     (section 2.4): they have their own per-cycle dispatch budget
-     instead of competing for issue slots. *)
-  let connect_slots =
-    ref
-      (match t.cfg.Config.connect_dispatch with
-      | `Shared -> 0
-      | `Extra n -> n)
-  in
-  let shared_connects = t.cfg.Config.connect_dispatch = `Shared in
-  let connect_lat = t.cfg.Config.lat.Latency.connect in
-  let mem_free = ref t.cfg.Config.mem_channels in
-  let pending_maps : (Reg.cls * Insn.map_kind * int) list ref = ref [] in
-  let code_len = Array.length t.pre in
-  let next_pc = ref 0 in
-  let end_group = ref false in
-  (* Why the group ended when [end_group] is set by an execute arm, and
-     why it ended when a blocker raised — the unused slots of this cycle
-     are charged to this reason. *)
-  let end_cause = ref None in
-  let blocked = ref None in
-  (try
-     while (!slots > 0 || !connect_slots > 0) && not t.halted do
-       if t.pc < 0 || t.pc >= code_len then fail "pc %d out of code" t.pc;
-       let d = t.pre.(t.pc) in
-       let map_on = t.psw.Psw.map_enable in
-       (* --- can it issue this cycle? --- *)
-       if
-         connect_lat > 0 && map_on
-         && (match !pending_maps with [] -> false | p -> src_blocked p d)
-       then raise (Group_end (Some Map));
-       if d.Dins.is_mem && !mem_free <= 0 then raise (Group_end (Some Channel));
-       (if d.Dins.is_connect && not shared_connects then begin
-          if !connect_slots <= 0 then raise (Group_end (Some Map))
-        end
-        else if !slots <= 0 then raise (Group_end None));
-       let sp0 =
-         if d.Dins.nsrcs > 0 then resolve_read t ~map_on d.Dins.s0c d.Dins.s0
-         else -1
-       in
-       let sp1 =
-         if d.Dins.nsrcs > 1 then resolve_read t ~map_on d.Dins.s1c d.Dins.s1
-         else -1
-       in
-       let dp =
-         if d.Dins.d >= 0 then resolve_write t ~map_on d.Dins.dc d.Dins.d
-         else -1
-       in
-       let ok =
-         (d.Dins.nsrcs < 1 || reg_ready t cycle d.Dins.s0c sp0)
-         && (d.Dins.nsrcs < 2 || reg_ready t cycle d.Dins.s1c sp1)
-         && (d.Dins.d < 0 || reg_ready t cycle d.Dins.dc dp)
-       in
-       if not ok then raise (Group_end (Some Data));
-       (* --- issue --- *)
-       if d.Dins.is_connect && not shared_connects then begin
-         decr connect_slots;
-         t.stats.extra_connects <- t.stats.extra_connects + 1
-       end
-       else decr slots;
-       t.stats.issued <- t.stats.issued + 1;
-       if d.Dins.is_mem then begin
-         decr mem_free;
-         t.stats.mem_ops <- t.stats.mem_ops + 1
-       end;
-       let done_at = cycle + d.Dins.lat in
-       next_pc := t.pc + 1;
-       end_group := false;
-       (match d.Dins.op with
-       | Opcode.Alu a ->
-           set_int t ~map_on d dp
-             (Opcode.eval_alu a (get_i t sp0) (get_i t sp1))
-             done_at
-       | Opcode.Alui a ->
-           set_int t ~map_on d dp
-             (Opcode.eval_alu a (get_i t sp0) d.Dins.imm)
-             done_at
-       | Opcode.Li -> set_int t ~map_on d dp d.Dins.imm done_at
-       | Opcode.Move -> set_int t ~map_on d dp (get_i t sp0) done_at
-       | Opcode.Fli -> set_float t ~map_on d dp d.Dins.fimm done_at
-       | Opcode.Fmove -> set_float t ~map_on d dp (get_f t sp0) done_at
-       | Opcode.Fpu f ->
-           let b = if d.Dins.nsrcs > 1 then get_f t sp1 else 0.0 in
-           set_float t ~map_on d dp (Opcode.eval_fpu f (get_f t sp0) b) done_at
-       | Opcode.Itof ->
-           set_float t ~map_on d dp (Int64.to_float (get_i t sp0)) done_at
-       | Opcode.Ftoi ->
-           set_int t ~map_on d dp (Int64.of_float (get_f t sp0)) done_at
-       | Opcode.Fcmp c ->
-           set_int t ~map_on d dp
-             (if Opcode.eval_fcond c (get_f t sp0) (get_f t sp1) then 1L
-              else 0L)
-             done_at
-       | Opcode.Ld w ->
-           let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
-           set_int t ~map_on d dp (load_mem t w a) done_at
-       | Opcode.St w ->
-           let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
-           store_mem t w a (get_i t sp0)
-       | Opcode.Fld ->
-           let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
-           set_float t ~map_on d dp
-             (Int64.float_of_bits (load_mem t Opcode.W8 a))
-             done_at
-       | Opcode.Fst ->
-           let a = Int64.to_int (get_i t sp1) + Int64.to_int d.Dins.imm in
-           store_mem t Opcode.W8 a (Int64.bits_of_float (get_f t sp0))
-       (* The front end follows correctly predicted control transfers
-          within an issue group ("all combinations of instruction
-          patterns are allowed to be executed in parallel", section
-          5.2); a misprediction redirects fetch and pays the front-end
-          penalty. *)
-       | Opcode.Br c ->
-           t.stats.branches <- t.stats.branches + 1;
-           let taken = Opcode.eval_cond c (get_i t sp0) (get_i t sp1) in
-           t.rec_taken <- taken;
-           if taken then next_pc := d.Dins.target;
-           if taken <> d.Dins.hint then begin
-             t.stats.mispredicts <- t.stats.mispredicts + 1;
-             let penalty = Config.mispredict_penalty t.cfg in
-             t.stats.cycles <- t.stats.cycles + penalty;
-             (* the redirect bubbles issue nothing: every slot of the
-                penalty cycles is lost to the branch *)
-             t.stats.lost_branch <-
-               t.stats.lost_branch + (penalty * t.cfg.Config.issue);
-             end_group := true;
-             end_cause := Some Redirect
-           end
-       | Opcode.Jmp ->
-           t.stats.branches <- t.stats.branches + 1;
-           next_pc := d.Dins.target
-       | Opcode.Jsr ->
-           t.stats.branches <- t.stats.branches + 1;
-           (* Reset the map, then write RA to its home location
-              (section 4.1). *)
-           Map_table.reset t.imap;
-           Map_table.reset t.fmap;
-           set_i t Reg.ra (Int64.of_int (t.pc + 1)) done_at;
-           next_pc := d.Dins.target
-       | Opcode.Rts ->
-           t.stats.branches <- t.stats.branches + 1;
-           let ra = Int64.to_int (get_i t sp0) in
-           Map_table.reset t.imap;
-           Map_table.reset t.fmap;
-           next_pc := ra
-       | Opcode.Connect ->
-           t.stats.connects <- t.stats.connects + 1;
-           if map_on then
-             Array.iter
-               (fun (c : Insn.connect) ->
-                 (match c.Insn.ccls with
-                 | Reg.Int -> Map_table.apply t.imap c
-                 | Reg.Float -> Map_table.apply t.fmap c);
-                 if connect_lat > 0 then
-                   pending_maps :=
-                     (c.Insn.ccls, c.Insn.cmap, c.Insn.ri) :: !pending_maps)
-               d.Dins.connects
-       | Opcode.Emit -> emit t (get_i t sp0)
-       | Opcode.Femit -> emit t (Int64.bits_of_float (get_f t sp0))
-       | Opcode.Trap ->
-           enter_trap t ~return_to:(t.pc + 1);
-           next_pc := t.pc;
-           end_group := true;
-           end_cause := Some Redirect
-       | Opcode.Rfe ->
-           (match t.recorder with
-           | Some b -> Dtrace.invalidate b
-           | None -> ());
-           (match t.saved_psw with
-           | Some saved ->
-               Psw.return_from_exception t.psw ~saved;
-               t.saved_psw <- None
-           | None -> fail "rfe without saved PSW");
-           next_pc := t.epc;
-           end_group := true;
-           end_cause := Some Redirect
-       | Opcode.Mapen ->
-           t.psw.Psw.map_enable <- not (Int64.equal d.Dins.imm 0L)
-       (* Privileged map access (section 4.3): reads and writes the
-          integer mapping table directly, regardless of the PSW
-          map-enable flag, so handlers can save and restore connection
-          state. *)
-       | Opcode.Mfmap kind ->
-           let idx = Int64.to_int d.Dins.imm in
-           let v =
-             match kind with
-             | Opcode.Read -> Map_table.read t.imap idx
-             | Opcode.Write -> Map_table.write t.imap idx
-           in
-           if dp < 0 then fail "mfmap needs a destination at pc %d" t.pc;
-           set_i t dp (Int64.of_int v) done_at
-       | Opcode.Mtmap kind -> (
-           let idx = Int64.to_int d.Dins.imm in
-           let v = Int64.to_int (get_i t sp0) in
-           match kind with
-           | Opcode.Read -> Map_table.connect_use t.imap ~ri:idx ~rp:v
-           | Opcode.Write -> Map_table.connect_def t.imap ~ri:idx ~rp:v)
-       | Opcode.Halt ->
-           t.halted <- true;
-           end_group := true;
-           end_cause := Some Fetch
-       | Opcode.Nop -> ());
-       (match t.recorder with
-       | None -> ()
-       | Some b ->
-           (* [t.pc] is still the issued instruction's address here (it
-              advances below, and the Trap arm — which redirected it
-              already — invalidated the recording).  No range checks:
-              whoever attached the recorder established [Dtrace.fits]
-              for this code length and these register files. *)
-           Dtrace.add b ~pc:t.pc ~sp0 ~sp1 ~dp ~map_on
-             ~taken:
-               (match d.Dins.op with
-               | Opcode.Br _ -> t.rec_taken
-               | _ -> false));
-       (match d.Dins.op with
-       | Opcode.Trap -> () (* pc already set by enter_trap *)
-       | _ -> t.pc <- !next_pc);
-       if !end_group then raise (Group_end !end_cause)
-     done
-   with Group_end reason ->
-     blocked := reason;
-     (match reason with
-     | Some Data -> t.stats.data_stalls <- t.stats.data_stalls + 1
-     | Some Map -> t.stats.map_stalls <- t.stats.map_stalls + 1
-     | Some Channel -> t.stats.channel_stalls <- t.stats.channel_stalls + 1
-     | Some Redirect | Some Fetch | None -> ()));
-  (* Charge the issue slots this cycle left unused to the reason the
-     group ended.  A natural exit (slots exhausted) leaves zero; an
-     already-halted machine charges the whole cycle to fetch. *)
-  let lost = !slots in
-  if lost > 0 then begin
-    let s = t.stats in
-    match !blocked with
-    | Some Data -> s.lost_data <- s.lost_data + lost
-    | Some Map -> s.lost_map <- s.lost_map + lost
-    | Some Channel -> s.lost_channel <- s.lost_channel + lost
-    | Some Redirect -> s.lost_branch <- s.lost_branch + lost
-    | Some Fetch | None -> s.lost_fetch <- s.lost_fetch + lost
-  end;
-  t.stats.cycles <- t.stats.cycles + 1
+  if c.Timing.halted then Timing.close c Timing.Fetch
+  else begin
+    let code_len = Array.length t.pre in
+    let closed = ref false in
+    while not !closed do
+      let pc = t.pc in
+      if pc < 0 || pc >= code_len then fail "pc %d out of code" pc;
+      let d = t.pre.(pc) in
+      let map_on = t.psw.Psw.map_enable in
+      let sp0 =
+        if d.Dins.nsrcs > 0 then resolve_read t ~map_on d.Dins.s0c d.Dins.s0
+        else -1
+      in
+      let sp1 =
+        if d.Dins.nsrcs > 1 then resolve_read t ~map_on d.Dins.s1c d.Dins.s1
+        else -1
+      in
+      let dp =
+        if d.Dins.d >= 0 then resolve_write t ~map_on d.Dins.dc d.Dins.d
+        else -1
+      in
+      match Timing.blocker c d ~map_on ~sp0 ~sp1 ~dp with
+      | Timing.Ready ->
+          let taken =
+            match d.Dins.op with
+            | Opcode.Br cond ->
+                Opcode.eval_cond cond (get_i t sp0) (get_i t sp1)
+            | _ -> false
+          in
+          t.pc <- execute t d ~map_on ~sp0 ~sp1 ~dp ~taken;
+          (match t.recorder with
+          | None -> ()
+          | Some b ->
+              (* No range checks: whoever attached the recorder
+                 established [Dtrace.fits] for this code length and these
+                 register files. *)
+              Dtrace.add b ~pc ~sp0 ~sp1 ~dp ~map_on ~taken);
+          closed := Timing.issue c d ~map_on ~dp ~taken
+      | cause ->
+          Timing.close c cause;
+          closed := true
+    done
+  end
 
 let run_cycle t =
   match t.observer with
   | None -> run_cycle_raw t
   | Some f ->
-      let s = t.stats in
-      let cycle0 = s.cycles
+      let s = t.timing.Timing.stats in
+      let cycle0 = s.Timing.cycles
       and pc0 = t.pc
-      and issued0 = s.issued
-      and connects0 = s.connects
-      and ld0 = s.lost_data
-      and lm0 = s.lost_map
-      and lc0 = s.lost_channel
-      and lb0 = s.lost_branch
-      and lf0 = s.lost_fetch in
+      and issued0 = s.Timing.issued
+      and connects0 = s.Timing.connects
+      and ld0 = s.Timing.lost_data
+      and lm0 = s.Timing.lost_map
+      and lc0 = s.Timing.lost_channel
+      and lb0 = s.Timing.lost_branch
+      and lf0 = s.Timing.lost_fetch in
       run_cycle_raw t;
       f
         {
           s_cycle = cycle0;
-          s_cycles = s.cycles - cycle0;
+          s_cycles = s.Timing.cycles - cycle0;
           s_pc = pc0;
-          s_issued = s.issued - issued0;
-          s_connects = s.connects - connects0;
-          s_lost_data = s.lost_data - ld0;
-          s_lost_map = s.lost_map - lm0;
-          s_lost_channel = s.lost_channel - lc0;
-          s_lost_branch = s.lost_branch - lb0;
-          s_lost_fetch = s.lost_fetch - lf0;
+          s_issued = s.Timing.issued - issued0;
+          s_connects = s.Timing.connects - connects0;
+          s_lost_data = s.Timing.lost_data - ld0;
+          s_lost_map = s.Timing.lost_map - lm0;
+          s_lost_channel = s.Timing.lost_channel - lc0;
+          s_lost_branch = s.Timing.lost_branch - lb0;
+          s_lost_fetch = s.Timing.lost_fetch - lf0;
         }
 
-type result = {
-  cycles : int;
-  issued : int;
-  connects : int;
-  extra_connects : int;
-  mem_ops : int;
-  branches : int;
-  mispredicts : int;
-  data_stalls : int;
-  map_stalls : int;
-  channel_stalls : int;
-  lost_data : int;
-  lost_map : int;
-  lost_channel : int;
-  lost_branch : int;
-  lost_fetch : int;
-  output : int64 list;
-  checksum : int64;
-}
-
-let lost_slots r =
-  r.lost_data + r.lost_map + r.lost_channel + r.lost_branch + r.lost_fetch
-
-(** The accounting identity the attribution maintains:
-    [cycles * issue = slot-consuming issues + every lost slot].
-    Connects dispatched through the extra budget do not consume issue
-    slots and are excluded from the left-hand total. *)
-let slot_invariant_holds ~issue r =
-  (r.cycles * issue) = r.issued - r.extra_connects + lost_slots r
-
-let checksum_of_output output =
-  List.fold_left
-    (fun acc v -> Int64.add (Int64.mul acc 1000003L) v)
-    0x9E3779B9L output
-
-let finish t =
-  let output = output_list t in
-  {
-    cycles = t.stats.cycles;
-    issued = t.stats.issued;
-    connects = t.stats.connects;
-    extra_connects = t.stats.extra_connects;
-    mem_ops = t.stats.mem_ops;
-    branches = t.stats.branches;
-    mispredicts = t.stats.mispredicts;
-    data_stalls = t.stats.data_stalls;
-    map_stalls = t.stats.map_stalls;
-    channel_stalls = t.stats.channel_stalls;
-    lost_data = t.stats.lost_data;
-    lost_map = t.stats.lost_map;
-    lost_channel = t.stats.lost_channel;
-    lost_branch = t.stats.lost_branch;
-    lost_fetch = t.stats.lost_fetch;
-    output;
-    checksum = checksum_of_output output;
-  }
-
 let run_machine t =
-  while (not t.halted) && t.stats.cycles < t.cfg.Config.fuel do
+  while not t.timing.Timing.halted do
     run_cycle t
   done;
-  if not t.halted then fail "out of fuel after %d cycles" t.stats.cycles;
-  finish t
+  let output = output_list t in
+  Timing.result t.timing ~output ~checksum:(checksum_of_output output)
 
 (** Assemble-free entry point: simulate an image under a configuration. *)
 let run cfg image = run_machine (create cfg image)

@@ -1,6 +1,6 @@
 (** The execution-driven simulator: functional execution of
-    architectural-form machine code with cycle-accurate in-order
-    superscalar timing.
+    architectural-form machine code, timed by the in-order superscalar
+    timing core {!Timing}.
 
     Each cycle, instructions issue in program order until the issue rate
     is reached or an instruction cannot issue because:
@@ -19,34 +19,16 @@
     Register accesses go through the register mapping table whenever the
     PSW map-enable flag is set; [jsr]/[rts] reset the table to home
     (section 4.1); traps clear map-enable so handlers address core
-    registers directly (section 4.3). *)
+    registers directly (section 4.3).
+
+    The machine itself holds only functional state.  Everything that
+    decides {e when} an instruction issues lives in {!Timing}, which the
+    trace-replay engine ({!Trace_replay}) drives with the same per-
+    instruction facts, so replay times exactly as execution does. *)
 
 open Rc_isa
 
 exception Simulation_error of string
-
-type stats = {
-  mutable cycles : int;
-  mutable issued : int;  (** dynamic instructions, connects included *)
-  mutable connects : int;
-  mutable extra_connects : int;
-      (** connects dispatched through the extra connect budget — they do
-          not consume regular issue slots (section 2.4) *)
-  mutable mem_ops : int;
-  mutable branches : int;
-  mutable mispredicts : int;
-  mutable data_stalls : int;  (** group-ending operand-not-ready events *)
-  mutable map_stalls : int;  (** 1-cycle-connect same-group conflicts *)
-  mutable channel_stalls : int;
-  mutable lost_data : int;  (** slots lost to operand interlock *)
-  mutable lost_map : int;
-      (** slots lost to mapping-table conflicts / connect budget *)
-  mutable lost_channel : int;  (** slots lost to busy memory channels *)
-  mutable lost_branch : int;
-      (** slots lost to control redirects (mispredict, trap, rfe),
-          redirect bubbles included *)
-  mutable lost_fetch : int;  (** slots lost to fetch exhaustion (halt) *)
-}
 
 (** Per-cycle observation delivered to an attached observer: the slots
     issued and lost during one {!run_cycle} (a mispredicted branch's
@@ -64,69 +46,6 @@ type cycle_sample = {
   s_lost_branch : int;
   s_lost_fetch : int;
 }
-
-type t = {
-  cfg : Config.t;
-  image : Image.t;
-  pre : Dins.t array;
-      (** [image.code] predecoded once under [cfg.lat] (see
-          {!Rc_isa.Dins}): the issue loop reads flat scalar fields
-          instead of re-matching [Insn.t] and allocating per operand *)
-  iregs : int64 array;
-  fregs : float array;
-  iready : int array;
-  fready : int array;
-  imap : Rc_core.Map_table.t;
-  fmap : Rc_core.Map_table.t;
-  psw : Rc_core.Psw.t;
-  mem : Bytes.t;
-  mutable pc : int;
-  mutable halted : bool;
-  mutable out : int64 array;
-      (** the output stream, a growable buffer in emission order; only
-          [out.(0 .. out_len - 1)] is meaningful *)
-  mutable out_len : int;
-  stats : stats;
-  mutable epc : int;
-  mutable saved_psw : Rc_core.Psw.t option;
-  mutable pending_interrupt : bool;
-  mutable observer : (cycle_sample -> unit) option;
-      (** when set, called once per {!run_cycle} with that cycle's slot
-          accounting; [None] (the default) costs one untaken branch per
-          cycle *)
-  mutable recorder : Dtrace.builder option;
-      (** when set, every issued instruction appends its resolved
-          operands and branch outcome to the builder (see
-          {!Rc_machine.Dtrace}); [None] (the default) costs one untaken
-          branch per issued instruction *)
-  mutable rec_taken : bool;  (** recorder scratch: last branch outcome *)
-}
-
-(** A fresh machine with data initialised, SP at the stack top and PC at
-    the image entry. *)
-val create : Config.t -> Image.t -> t
-
-(** The register-state view used by {!Rc_core.Context} for context
-    switching. *)
-val context_view : t -> Rc_core.Context.machine_view
-
-(** Request an external interrupt; taken at the next cycle boundary. *)
-val inject_interrupt : t -> unit
-
-(** Attach (or clear) the per-cycle observer. *)
-val set_observer : t -> (cycle_sample -> unit) option -> unit
-
-(** Attach (or clear) the dynamic-trace recorder (see {!Dtrace}).  The
-    caller must have established {!Dtrace.fits} for this machine's code
-    length and register files: the recording path performs no range
-    checks. *)
-val set_recorder : t -> Dtrace.builder option -> unit
-
-(** The emitted stream so far, in emission order. *)
-val output_list : t -> int64 list
-
-(** Simulate one cycle (issue one in-order group). *)
-val run_cycle : t -> unit
 
 type result = {
   cycles : int;
@@ -160,7 +79,146 @@ val slot_invariant_holds : issue:int -> result -> bool
 (** Same fold as {!Rc_interp.Interp.checksum_of_output}. *)
 val checksum_of_output : int64 list -> int64
 
-val finish : t -> result
+(** The timing core: the scoreboard, the per-cycle issue resources, the
+    stall and slot counters, and the rules that move them — the blocker
+    order, each opcode's timing effects, and the end-of-cycle slot
+    charging with the fuel check (DESIGN.md §14).  It is fed one dynamic
+    instruction at a time: the predecoded instruction plus the facts
+    execution resolved for it (physical operands, map-enable bit,
+    branch outcome), which are exactly what a {!Dtrace} entry records.
+    {!run_cycle} drives it from live execution; trace replay drives it
+    through {!admit}. *)
+module Timing : sig
+  type stats = {
+    mutable cycles : int;
+    mutable issued : int;  (** dynamic instructions, connects included *)
+    mutable connects : int;
+    mutable extra_connects : int;
+        (** connects dispatched through the extra connect budget — they
+            do not consume regular issue slots (section 2.4) *)
+    mutable mem_ops : int;
+    mutable branches : int;
+    mutable mispredicts : int;
+    mutable data_stalls : int;  (** group-ending operand-not-ready events *)
+    mutable map_stalls : int;  (** 1-cycle-connect same-group conflicts *)
+    mutable channel_stalls : int;
+    mutable lost_data : int;  (** slots lost to operand interlock *)
+    mutable lost_map : int;
+        (** slots lost to mapping-table conflicts / connect budget *)
+    mutable lost_channel : int;  (** slots lost to busy memory channels *)
+    mutable lost_branch : int;
+        (** slots lost to control redirects (mispredict, trap, rfe),
+            redirect bubbles included *)
+    mutable lost_fetch : int;  (** slots lost to fetch exhaustion (halt) *)
+  }
+
+  type t = {
+    stats : stats;
+    iready : int array;  (** cycle each integer physical register is ready *)
+    fready : int array;
+    mutable slots : int;  (** issue slots left in the open cycle *)
+    mutable cslots : int;  (** extra connect-dispatch slots left *)
+    mutable mem_free : int;  (** memory channels left *)
+    mutable pending : (Reg.cls * Insn.map_kind * int) list;
+        (** map entries touched by connects issued this cycle *)
+    mutable cycle : int;  (** [stats.cycles] when the open cycle began *)
+    mutable halted : bool;
+    issue : int;
+    budget : int;  (** per-cycle connect dispatch budget; 0 when shared *)
+    shared : bool;
+    channels : int;
+    connect_lat : int;
+    penalty : int;
+    fuel : int;
+    log_writes : bool;
+    mutable written : int array;
+        (** when [log_writes]: every scoreboard write since the log was
+            last trimmed, packed [(preg lsl 1) lor class] (0 integer, 1
+            float), duplicates included — what the replay memo
+            (DESIGN.md §18) scans instead of the register files *)
+    mutable n_written : int;
+  }
+
+  (** A fresh core at cycle 0 for a configuration's timing knobs.
+      [log_writes] (default false) keeps {!field-written}. *)
+  val create : ?log_writes:bool -> Config.t -> t
+
+  (** Append one packed entry to the write log. *)
+  val log_write : t -> int -> unit
+
+  (** Issue [d] in the first cycle that can take it, closing the cycles
+      before it, and apply its opcode's timing effects.  [sp0]/[sp1]/
+      [dp] are its resolved physical operands ([-1] when absent).
+      @raise Simulation_error when the clock reaches the configured fuel
+      before [halt]. *)
+  val admit :
+    t -> Dins.t -> map_on:bool -> sp0:int -> sp1:int -> dp:int -> taken:bool ->
+    unit
+
+  (** The counters as a {!result}. *)
+  val result : t -> output:int64 list -> checksum:int64 -> result
+end
+
+type t = {
+  cfg : Config.t;
+  image : Image.t;
+  pre : Dins.t array;
+      (** [image.code] predecoded once under [cfg.lat] (see
+          {!Rc_isa.Dins}): the issue loop reads flat scalar fields
+          instead of re-matching [Insn.t] and allocating per operand *)
+  iregs : int64 array;
+  fregs : float array;
+  imap : Rc_core.Map_table.t;
+  fmap : Rc_core.Map_table.t;
+  psw : Rc_core.Psw.t;
+  mem : Bytes.t;
+  mutable pc : int;
+  mutable out : int64 array;
+      (** the output stream, a growable buffer in emission order; only
+          [out.(0 .. out_len - 1)] is meaningful *)
+  mutable out_len : int;
+  timing : Timing.t;  (** when each instruction issues; [halted] *)
+  mutable epc : int;
+  mutable saved_psw : Rc_core.Psw.t option;
+  mutable pending_interrupt : bool;
+  mutable observer : (cycle_sample -> unit) option;
+      (** when set, called once per {!run_cycle} with that cycle's slot
+          accounting; [None] (the default) costs one untaken branch per
+          cycle *)
+  mutable recorder : Dtrace.builder option;
+      (** when set, every issued instruction appends its resolved
+          operands and branch outcome to the builder (see
+          {!Rc_machine.Dtrace}); [None] (the default) costs one untaken
+          branch per issued instruction *)
+}
+
+(** A fresh machine with data initialised, SP at the stack top and PC at
+    the image entry. *)
+val create : Config.t -> Image.t -> t
+
+(** The register-state view used by {!Rc_core.Context} for context
+    switching. *)
+val context_view : t -> Rc_core.Context.machine_view
+
+(** Request an external interrupt; taken at the next cycle boundary. *)
+val inject_interrupt : t -> unit
+
+(** Attach (or clear) the per-cycle observer. *)
+val set_observer : t -> (cycle_sample -> unit) option -> unit
+
+(** Attach (or clear) the dynamic-trace recorder (see {!Dtrace}).  The
+    caller must have established {!Dtrace.fits} for this machine's code
+    length and register files: the recording path performs no range
+    checks. *)
+val set_recorder : t -> Dtrace.builder option -> unit
+
+(** The emitted stream so far, in emission order. *)
+val output_list : t -> int64 list
+
+(** Simulate one cycle (issue one in-order group).
+    @raise Simulation_error on bad addresses, PC escapes, or when the
+    cycle exhausts the configured fuel. *)
+val run_cycle : t -> unit
 
 (** Run until [Halt].
     @raise Simulation_error on bad addresses, PC escapes or fuel

@@ -1,9 +1,12 @@
-(** The trace-replay timing engine: record the dynamic instruction
-    stream once, then re-time it under any configuration whose semantic
-    knobs match — reproducing {!Machine.result} exactly.  Replay is
-    entry-driven, so {!replay_batch} decodes the compact trace once
-    while K independent timing states consume it in lockstep.  See
-    DESIGN.md §14 for the trace format and safety conditions. *)
+(** The trace-replay engine: record the dynamic instruction stream
+    once, then re-time it under any configuration whose semantic knobs
+    match.  Each recorded entry is fed to the same timing core
+    ({!Machine.Timing}) execution uses, so the {!Machine.result} is
+    exact by construction.  Replay is entry-driven, so {!replay_batch}
+    decodes the compact trace once while K independent cores consume it
+    in lockstep, each with a superblock timing memo on its state.  See
+    DESIGN.md §14 for the trace format and safety conditions, §18 for
+    the memo. *)
 
 open Rc_isa
 
@@ -46,8 +49,8 @@ val memo_stats : unit -> memo_stats
     loop, with an exact per-entry fallback whenever a visit does not
     fit the memo — results are bit-identical either way.  [stats]
     accumulates the memo counters.
-    @raise Machine.Simulation_error on fuel exhaustion or a foreign
-    trace. *)
+    @raise Machine.Simulation_error on fuel exhaustion or a trace that
+    ends before [halt]. *)
 val replay :
   ?memo:bool ->
   ?stats:memo_stats ->

@@ -263,7 +263,8 @@ let run_request_of_json j =
       let* mem_channels =
         match List.assoc_opt "mem_channels" fields with
         | None -> Ok None
-        | Some (Rc_obs.Json.Int n) -> Ok (Some n)
+        | Some (Rc_obs.Json.Int n) ->
+            mal (Result.map Option.some (positive "mem_channels" n))
         | Some _ -> mal (Error "field \"mem_channels\" must be an integer")
       in
       let* extra_stage = mal (bool_field fields "extra_stage" ~default:false) in

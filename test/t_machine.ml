@@ -708,36 +708,61 @@ let test_slot_invariant_shared_dispatch () =
 
 let test_observer_samples () =
   (* the per-cycle observer stream must tile the run: samples'
-     s_cycles/s_issued/losses sum to the final counters, and each
-     sample satisfies the per-cycle invariant *)
-  let cfg = rc_cfg16 ~connect:1 () in
-  let t = M.create cfg (image_of connect_prog) in
-  let samples = ref [] in
-  M.set_observer t (Some (fun s -> samples := s :: !samples));
-  let r = M.run_machine t in
-  let samples = List.rev !samples in
-  let sum f = List.fold_left (fun a s -> a + f s) 0 samples in
-  check "cycles covered" r.M.cycles (sum (fun s -> s.M.s_cycles));
-  check "issued covered" r.M.issued (sum (fun s -> s.M.s_issued));
-  check "data losses covered" r.M.lost_data (sum (fun s -> s.M.s_lost_data));
-  check "map losses covered" r.M.lost_map (sum (fun s -> s.M.s_lost_map));
-  check "branch losses covered" r.M.lost_branch
-    (sum (fun s -> s.M.s_lost_branch));
-  check "fetch losses covered" r.M.lost_fetch
-    (sum (fun s -> s.M.s_lost_fetch));
+     s_cycles/s_issued/s_connects and all five losses sum to the final
+     counters, and each sample satisfies the per-cycle invariant — over
+     programs that between them lose slots to every cause *)
+  let loads = List.assoc "loads" micro_programs in
+  let runs =
+    [
+      ("connects", rc_cfg16 ~connect:1 (), image_of connect_prog);
+      ( "loads, 1 channel",
+        C.v ~issue:4 ~mem_channels:1 ~ifile:(Reg.core_only 32)
+          ~ffile:(Reg.core_only 8) (),
+        image_of loads );
+      ("mispredict", cfg4, mispredict_image ());
+    ]
+  in
+  let totals = Array.make 5 0 in
   List.iter
-    (fun s ->
-      let lost =
-        s.M.s_lost_data + s.M.s_lost_map + s.M.s_lost_channel
-        + s.M.s_lost_branch + s.M.s_lost_fetch
-      in
-      (* connects may dispatch through the extra budget, beyond the
-         regular slots *)
-      check_bool
-        (Fmt.str "cycle %d sample balances" s.M.s_cycle)
-        true
-        ((s.M.s_cycles * 4) + s.M.s_connects >= s.M.s_issued + lost))
-    samples
+    (fun (name, cfg, image) ->
+      let t = M.create cfg image in
+      let samples = ref [] in
+      M.set_observer t (Some (fun s -> samples := s :: !samples));
+      let r = M.run_machine t in
+      let samples = List.rev !samples in
+      let sum f = List.fold_left (fun a s -> a + f s) 0 samples in
+      let covered what total f = check (name ^ ": " ^ what) total (sum f) in
+      covered "cycles" r.M.cycles (fun s -> s.M.s_cycles);
+      covered "issued" r.M.issued (fun s -> s.M.s_issued);
+      covered "connects" r.M.connects (fun s -> s.M.s_connects);
+      covered "data losses" r.M.lost_data (fun s -> s.M.s_lost_data);
+      covered "map losses" r.M.lost_map (fun s -> s.M.s_lost_map);
+      covered "channel losses" r.M.lost_channel (fun s -> s.M.s_lost_channel);
+      covered "branch losses" r.M.lost_branch (fun s -> s.M.s_lost_branch);
+      covered "fetch losses" r.M.lost_fetch (fun s -> s.M.s_lost_fetch);
+      List.iteri
+        (fun i v -> totals.(i) <- totals.(i) + v)
+        [ r.M.lost_data; r.M.lost_map; r.M.lost_channel; r.M.lost_branch;
+          r.M.lost_fetch ];
+      List.iter
+        (fun s ->
+          let lost =
+            s.M.s_lost_data + s.M.s_lost_map + s.M.s_lost_channel
+            + s.M.s_lost_branch + s.M.s_lost_fetch
+          in
+          (* connects may dispatch through the extra budget, beyond the
+             regular slots *)
+          check_bool
+            (Fmt.str "%s: cycle %d sample balances" name s.M.s_cycle)
+            true
+            ((s.M.s_cycles * cfg.C.issue) + s.M.s_connects
+            >= s.M.s_issued + lost))
+        samples)
+    runs;
+  List.iteri
+    (fun i cause ->
+      check_bool (cause ^ " losses exercised") true (totals.(i) > 0))
+    [ "data"; "map"; "channel"; "branch"; "fetch" ]
 
 let test_observer_absent_same_result () =
   (* telemetry must not perturb the simulation *)
@@ -783,6 +808,23 @@ let test_fuel_exhaustion () =
        ignore (M.run cfg (Image.assemble m));
        false
      with M.Simulation_error _ -> true)
+
+let test_config_rejects_nonpositive () =
+  (* below 1, channels would hang the scheduler and fuel would let the
+     engines disagree on a halt-only program *)
+  List.iter
+    (fun (what, mk) ->
+      check_bool what true
+        (match mk () with
+        | (_ : C.t) -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("issue 0", fun () -> C.v ~issue:0 ());
+      ("mem_channels 0", fun () -> C.v ~mem_channels:0 ());
+      ("mem_channels -1", fun () -> C.v ~mem_channels:(-1) ());
+      ("fuel 0", fun () -> C.v ~fuel:0 ());
+      ("fuel -5", fun () -> C.v ~fuel:(-5) ());
+    ]
 
 let test_bad_memory_access () =
   let insns =
@@ -855,6 +897,7 @@ let suite =
     ("observer samples tile the run", `Quick, test_observer_samples);
     ("observer does not perturb", `Quick, test_observer_absent_same_result);
     ("fuel exhaustion", `Quick, test_fuel_exhaustion);
+    ("config rejects non-positive knobs", `Quick, test_config_rejects_nonpositive);
     ("bad memory access", `Quick, test_bad_memory_access);
     QCheck_alcotest.to_alcotest prop_issue_width;
     QCheck_alcotest.to_alcotest prop_chain_latency;
