@@ -35,6 +35,20 @@ let pos_int ~what =
   in
   Arg.conv (parse, Fmt.int)
 
+(** Core register count of a class: outside the range
+    {!Rc_harness.Pipeline.options} accepts is a usage error. *)
+let core_count cls ~what =
+  let lo = Rc_harness.Pipeline.min_core cls
+  and hi = Rc_harness.Pipeline.max_core in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some _ | None ->
+        Error
+          (`Msg (Fmt.str "%s must be an integer in [%d, %d], got %S" what lo hi s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let bench_arg =
   let doc = "Benchmark kernel name (see $(b,rcc list))." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
@@ -94,11 +108,17 @@ let issue =
 
 let core_int =
   let doc = "Core integer registers visible to the instruction set." in
-  Arg.(value & opt int 16 & info [ "core-int" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (core_count Rc_isa.Reg.Int ~what:"--core-int") 16
+    & info [ "core-int" ] ~docv:"N" ~doc)
 
 let core_float =
   let doc = "Core floating-point registers (simulator registers)." in
-  Arg.(value & opt int 16 & info [ "core-float" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (core_count Rc_isa.Reg.Float ~what:"--core-float") 16
+    & info [ "core-float" ] ~docv:"N" ~doc)
 
 let rc =
   let doc = "Enable Register Connection support (256-register file)." in
@@ -961,7 +981,8 @@ let compare_cmd =
        loads, as in the paper's Figure 11. *)
     let base_opts =
       Rc_harness.Pipeline.options ~opt:Rc_opt.Pass.Classical ~issue:1
-        ~mem_channels:2 ~core_int:2048 ~core_float:2048 ~lat ()
+        ~mem_channels:2 ~core_int:Rc_harness.Experiments.unlimited
+        ~core_float:Rc_harness.Experiments.unlimited ~lat ()
     in
     let configs =
       [
@@ -973,8 +994,9 @@ let compare_cmd =
           Rc_harness.Pipeline.options ~rc:true ~issue ~core_int ~core_float
             ~lat () );
         ( "unlimited registers",
-          Rc_harness.Pipeline.options ~issue ~core_int:2048 ~core_float:2048
-            ~lat () );
+          Rc_harness.Pipeline.options ~issue
+            ~core_int:Rc_harness.Experiments.unlimited
+            ~core_float:Rc_harness.Experiments.unlimited ~lat () );
       ]
     in
     (* All four configurations compile and simulate in parallel on the

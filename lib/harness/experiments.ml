@@ -396,7 +396,7 @@ let run ctx b opts =
   let c = run_cell ctx b opts in
   (c.c_result, c.c_breakdown, c.c_spills)
 
-let unlimited = 2048
+let unlimited = Pipeline.max_core
 
 (** The paper's base configuration (section 5.3). *)
 let base_opts () =

@@ -34,12 +34,27 @@ type options = {
   extra_stage : bool;
 }
 
+let max_core = 2048
+
+(* The integer core must name the reserved registers (zero, sp, the
+   spill temporaries, ra, rv); an FP core needs the four registers
+   [Reg.file] asks of any file. *)
+let min_core = function Reg.Int -> Reg.first_alloc_int | Reg.Float -> 4
+
 let options ?(opt = Rc_opt.Pass.Ilp Rc_opt.Pass.default_unroll) ?(rc = false)
     ?(core_int = 32) ?(core_float = 32) ?total_int ?total_float
     ?(model = Rc_core.Model.default) ?(combine = true) ?connect_dispatch
     ?(issue = 4) ?mem_channels ?(lat = Latency.default) ?(extra_stage = false)
     () =
   if issue < 1 then invalid_arg "Pipeline.options: issue < 1";
+  let bound name cls n =
+    if n < min_core cls || n > max_core then
+      invalid_arg
+        (Fmt.str "Pipeline.options: %s %d outside [%d, %d]" name n
+           (min_core cls) max_core)
+  in
+  bound "core_int" Reg.Int core_int;
+  bound "core_float" Reg.Float core_float;
   let total_int = match total_int with Some t -> t | None -> max 256 core_int in
   let total_float =
     match total_float with Some t -> t | None -> max 256 core_float

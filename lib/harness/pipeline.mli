@@ -28,11 +28,20 @@ type options = {
   extra_stage : bool;
 }
 
+(** Largest core register count of either class, 2048: the stand-in
+    for the paper's "unlimited number of registers" (section 5.3). *)
+val max_core : int
+
+(** Smallest core register count of a class: 8 integer registers (the
+    reserved ones, {!Reg.first_alloc_int}) and 4 FP registers. *)
+val min_core : Reg.cls -> int
+
 (** Defaults: ILP optimisation (unroll 4), no RC, 32/32 core registers,
     256-register physical files, model 3, combined connects, 4-issue,
     2-cycle loads, zero-cycle connects.
     @raise Invalid_argument when [issue] or [mem_channels] is below 1
-    (the scheduler could never fill a group). *)
+    (the scheduler could never fill a group), or when [core_int] or
+    [core_float] lies outside [\[min_core cls, max_core\]]. *)
 val options :
   ?opt:Rc_opt.Pass.level ->
   ?rc:bool ->

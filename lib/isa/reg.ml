@@ -73,26 +73,31 @@ let pinned_indices = function
   | Int -> [ zero; sp; ra ]
   | Float -> []
 
-(** Allocatable physical registers of a file, hottest-first ordering is
-    decided by the allocator; this is just the legal set. *)
-let allocatable cls f =
-  let lo = first_alloc cls in
-  let rec collect p acc = if p < lo then acc else collect (p - 1) (p :: acc) in
-  collect (f.total - 1) []
+(** A half-open interval [\[lo, hi)] of physical registers, empty when
+    [hi <= lo]. *)
+type range = { lo : int; hi : int }
 
-(** Callee-saved core registers: the upper half of the allocatable core
-    section.  Extended registers are effectively caller-saved (they must
-    be reconnected to be spilled, paper section 4.1). *)
-let callee_saved cls f =
-  let lo = first_alloc cls in
-  let n_alloc_core = max 0 (f.core - lo) in
-  let first_callee = lo + (n_alloc_core / 2) in
-  let rec collect p acc =
-    if p < first_callee then acc else collect (p - 1) (p :: acc)
-  in
-  collect (f.core - 1) []
+let mem r p = r.lo <= p && p < r.hi
+let size r = max 0 (r.hi - r.lo)
 
-let is_callee_saved cls f p = List.mem p (callee_saved cls f)
+(** The allocatable registers of a file, split three ways: the lower
+    half of the allocatable core section is caller-saved, the upper half
+    callee-saved, and extended registers are effectively caller-saved
+    (they must be reconnected to be spilled, paper section 4.1).
+    Registers below [first_alloc] are reserved and in no partition. *)
+type partition = { caller : range; callee : range; extended : range }
+
+let partition cls f =
+  let lo = first_alloc cls in
+  let first_callee = lo + (max 0 (f.core - lo) / 2) in
+  let ext = max lo f.core in
+  {
+    caller = { lo; hi = first_callee };
+    callee = { lo = first_callee; hi = max first_callee f.core };
+    extended = { lo = ext; hi = max ext f.total };
+  }
+
+let is_callee_saved cls f p = mem (partition cls f).callee p
 
 let pp_phys cls ppf p =
   match cls with

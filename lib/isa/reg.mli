@@ -60,14 +60,28 @@ val spill_temps : cls -> int array
     victims: zero, SP and RA keep their home connection at all times. *)
 val pinned_indices : cls -> int list
 
-(** The physical registers of a file legal for allocation. *)
-val allocatable : cls -> file -> int list
+(** A half-open interval [\[lo, hi)] of physical registers, empty when
+    [hi <= lo]. *)
+type range = { lo : int; hi : int }
 
-(** Callee-saved core registers: the upper half of the allocatable core
-    section.  Extended registers are effectively caller-saved (paper
-    section 4.1). *)
-val callee_saved : cls -> file -> int list
+val mem : range -> int -> bool
 
+(** Number of registers in a range. *)
+val size : range -> int
+
+(** The allocatable registers of a file as three disjoint ranges that
+    cover [\[first_alloc, total)]: the caller-saved core
+    [\[first_alloc, first_callee)], the callee-saved core
+    [\[first_callee, core)] (the upper half of the allocatable core
+    section) and the extended section [\[max first_alloc core, total)].
+    Extended registers are effectively caller-saved (paper section
+    4.1). *)
+type partition = { caller : range; callee : range; extended : range }
+
+val partition : cls -> file -> partition
+
+(** Membership in the callee-saved core range. *)
 val is_callee_saved : cls -> file -> int -> bool
+
 val pp_phys : cls -> Format.formatter -> int -> unit
 val pp_arch : cls -> Format.formatter -> int -> unit

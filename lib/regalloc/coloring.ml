@@ -21,30 +21,110 @@ type config = {
           is scarce — profitable with zero-cycle connects, where the
           connect-def per write is nearly free; a compiler targeting
           1-cycle connects keeps values in the core instead *)
-  (* registers available for allocation, per class, partitioned *)
-  caller_core : Reg.cls -> int list;
-  callee_core : Reg.cls -> int list;
-  extended : Reg.cls -> int list;
+  partition : Reg.cls -> Reg.partition;
+      (** registers available for allocation, per class, partitioned *)
 }
 
 let config ?(aggressive_extended = true) ~ifile ~ffile () =
-  let part cls (f : Reg.file) =
-    let alloc = Reg.allocatable cls f in
-    let callee = Reg.callee_saved cls f in
-    let core, ext = List.partition (fun p -> Reg.is_core f p) alloc in
-    let caller = List.filter (fun p -> not (List.mem p callee)) core in
-    (caller, callee, ext)
-  in
-  let icaller, icallee, iext = part Reg.Int ifile in
-  let fcaller, fcallee, fext = part Reg.Float ffile in
+  let ipart = Reg.partition Reg.Int ifile
+  and fpart = Reg.partition Reg.Float ffile in
   {
     ifile;
     ffile;
     aggressive_extended;
-    caller_core = (function Reg.Int -> icaller | Reg.Float -> fcaller);
-    callee_core = (function Reg.Int -> icallee | Reg.Float -> fcallee);
-    extended = (function Reg.Int -> iext | Reg.Float -> fext);
+    partition = (function Reg.Int -> ipart | Reg.Float -> fpart);
   }
+
+(* Ranges live across a call prefer callee-saved registers, to avoid
+   save/restore traffic.  Other ranges see the core as one merged
+   segment: restricting short-lived ranges to the caller-saved half
+   would halve the effective file and reintroduce the very reuse
+   serialisation a big file is meant to remove. *)
+type order = Call_crossing | Core_first | Extended_first
+
+(* Within a preference segment, pick the least-recently-assigned free
+   colour.  First-fit would funnel every short-lived range through the
+   same few registers, and the resulting WAR/WAW dependences serialise
+   an in-order superscalar; spreading assignments is the compiler-side
+   register renaming that lets a large file pay off — and with a small
+   file the forced reuse is precisely the scheduling restriction the
+   paper measures.
+
+   The rule: in the first segment that has a free register, take the
+   lowest never-used register, else the free register with the oldest
+   stamp.  A segment lists its partitions in index order, so its lowest
+   never-used register is that of its first partition that has one.
+   Within a partition the never-used registers are always a suffix
+   [\[fresh, hi)]: a taken register holds an interfering range, which
+   was assigned (and stamped) earlier in the same class, because
+   interference is recorded between same-class ranges only.  So
+   [fresh] is free whenever it is below [hi], and a pick never walks
+   the file: it costs a set lookup plus one step per taken neighbour. *)
+module Pick = struct
+  (* (stamp, register); stamps are unique, so they alone order a set *)
+  module By_stamp = Set.Make (struct
+    type t = int * int
+
+    let compare (a, _) (b, _) = Int.compare a b
+  end)
+
+  (* One partition of one class: never-used [\[fresh, hi)], used ones
+     by stamp. *)
+  type part = { hi : int; mutable fresh : int; mutable used : By_stamp.t }
+  type parts = { caller : part; callee : part; extended : part }
+  type t = { int : parts; float : parts; mutable stamp : int }
+
+  let create cfg =
+    let part (r : Reg.range) =
+      { hi = r.Reg.hi; fresh = r.Reg.lo; used = By_stamp.empty }
+    in
+    let parts cls =
+      let pt = cfg.partition cls in
+      {
+        caller = part pt.Reg.caller;
+        callee = part pt.Reg.callee;
+        extended = part pt.Reg.extended;
+      }
+    in
+    { int = parts Reg.Int; float = parts Reg.Float; stamp = 0 }
+
+  let segments t cls order =
+    let c = match cls with Reg.Int -> t.int | Reg.Float -> t.float in
+    match order with
+    | Call_crossing -> [ [ c.callee ]; [ c.caller ]; [ c.extended ] ]
+    | Core_first -> [ [ c.caller; c.callee ]; [ c.extended ] ]
+    | Extended_first -> [ [ c.extended ]; [ c.caller; c.callee ] ]
+
+  let oldest_free ~taken best pt =
+    match Seq.find (fun (_, p) -> not (taken p)) (By_stamp.to_seq pt.used) with
+    | Some ((s, _) as e) -> (
+        match best with
+        | Some (_, (best_s, _)) when best_s < s -> best
+        | _ -> Some (pt, e))
+    | None -> best
+
+  let rec choose ~taken = function
+    | [] -> None
+    | seg :: rest -> (
+        match List.find_opt (fun pt -> pt.fresh < pt.hi) seg with
+        | Some pt ->
+            pt.fresh <- pt.fresh + 1;
+            Some (pt, pt.fresh - 1)
+        | None -> (
+            match List.fold_left (oldest_free ~taken) None seg with
+            | Some (pt, ((_, p) as e)) ->
+                pt.used <- By_stamp.remove e pt.used;
+                Some (pt, p)
+            | None -> choose ~taken rest))
+
+  let pick t cls order ~taken =
+    match choose ~taken (segments t cls order) with
+    | None -> None
+    | Some (pt, p) ->
+        t.stamp <- t.stamp + 1;
+        pt.used <- By_stamp.add (t.stamp, p) pt.used;
+        Some p
+end
 
 (** Profile-weighted use and definition counts of each virtual register.
     Their sum is the classic spill cost (every occurrence would become a
@@ -86,7 +166,8 @@ let run cfg (f : Func.t) (profile : Rc_interp.Profile.t) =
   let use_w, def_w = use_def_weights f profile in
   let cost v = use_w v + def_w v in
   let has_extended =
-    cfg.extended Reg.Int <> [] || cfg.extended Reg.Float <> []
+    Reg.size (cfg.partition Reg.Int).Reg.extended > 0
+    || Reg.size (cfg.partition Reg.Float).Reg.extended > 0
   in
   (* Assignment order doubles as core priority: earlier ranges grab the
      core segment.  Without an extended section the order is the classic
@@ -101,9 +182,8 @@ let run cfg (f : Func.t) (profile : Rc_interp.Profile.t) =
   let core_scarce cls =
     has_extended && cfg.aggressive_extended
     &&
-    let core_avail =
-      List.length (cfg.caller_core cls) + List.length (cfg.callee_core cls)
-    in
+    let pt = cfg.partition cls in
+    let core_avail = Reg.size pt.Reg.caller + Reg.size pt.Reg.callee in
     (* Renaming freedom needs headroom well beyond the peak pressure:
        with the core only just covering the live values, reuse distances
        stay within instruction latencies and the in-order pipeline
@@ -124,34 +204,18 @@ let run cfg (f : Func.t) (profile : Rc_interp.Profile.t) =
                | c -> c)
            | c -> c)
   in
-  (* Within a preference segment, pick the least-recently-assigned free
-     colour.  First-fit would funnel every short-lived range through the
-     same few registers, and the resulting WAR/WAW dependences serialise
-     an in-order superscalar; spreading assignments is the compiler-side
-     register renaming that lets a large file pay off — and with a small
-     file the forced reuse is precisely the scheduling restriction the
-     paper measures. *)
-  let stamp = ref 0 in
-  let last_used : (Reg.cls * int, int) Hashtbl.t = Hashtbl.create 64 in
+  let pick = Pick.create cfg in
   List.iter
     (fun (v : Vreg.t) ->
       let cls = v.Vreg.cls in
-      let segments =
-        if Vreg.Set.mem v crosses_call then
-          [ cfg.callee_core cls; cfg.caller_core cls; cfg.extended cls ]
-        else begin
-          (* One merged core segment: restricting short-lived ranges to
-             the caller-saved half would halve the effective file and
-             reintroduce the very reuse serialisation a big file is
-             meant to remove. *)
-          let core = cfg.caller_core cls @ cfg.callee_core cls in
-          if core_scarce cls && use_w v <= def_w v then
-            (* Write-heavy ranges prefer the extended section outright:
-               a core register would only buy them reuse stalls, while a
-               connect-def per write buys full renaming. *)
-            [ cfg.extended cls; core ]
-          else [ core; cfg.extended cls ]
-        end
+      let order =
+        if Vreg.Set.mem v crosses_call then Call_crossing
+        else if core_scarce cls && use_w v <= def_w v then
+          (* Write-heavy ranges prefer the extended section outright:
+             a core register would only buy them reuse stalls, while a
+             connect-def per write buys full renaming. *)
+          Extended_first
+        else Core_first
       in
       let taken = Hashtbl.create 16 in
       Vreg.Set.iter
@@ -160,29 +224,8 @@ let run cfg (f : Func.t) (profile : Rc_interp.Profile.t) =
           | Some (Assignment.Reg p) -> Hashtbl.replace taken p ()
           | _ -> ())
         (Interference.neighbours graph v);
-      let pick_in_segment seg =
-        List.fold_left
-          (fun best p ->
-            if Hashtbl.mem taken p then best
-            else
-              let age =
-                try Hashtbl.find last_used (cls, p) with Not_found -> -1
-              in
-              match best with
-              | Some (_, best_age) when best_age <= age -> best
-              | _ -> Some (p, age))
-          None seg
-      in
-      let rec pick = function
-        | [] -> None
-        | seg :: rest -> (
-            match pick_in_segment seg with Some (p, _) -> Some p | None -> pick rest)
-      in
-      match pick segments with
-      | Some p ->
-          incr stamp;
-          Hashtbl.replace last_used (cls, p) !stamp;
-          Assignment.set_reg asn v p
+      match Pick.pick pick cls order ~taken:(Hashtbl.mem taken) with
+      | Some p -> Assignment.set_reg asn v p
       | None -> ignore (Assignment.spill asn v))
     nodes;
   (graph, asn)

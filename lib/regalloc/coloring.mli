@@ -21,13 +21,42 @@ type config = {
       (** send write-heavy ranges to the extended section when the core
           is scarce — profitable with zero-cycle connects; a compiler
           targeting 1-cycle connects keeps values in the core instead *)
-  caller_core : Reg.cls -> int list;
-  callee_core : Reg.cls -> int list;
-  extended : Reg.cls -> int list;
+  partition : Reg.cls -> Reg.partition;
+      (** registers available for allocation, per class, partitioned *)
 }
 
 val config :
   ?aggressive_extended:bool -> ifile:Reg.file -> ffile:Reg.file -> unit -> config
+
+(** A live range's colour preference: an ordered list of segments, each
+    a union of partitions of the range's class. *)
+type order =
+  | Call_crossing
+      (** live across a call: callee-saved core, then caller-saved core,
+          then extended *)
+  | Core_first  (** the allocatable core as one segment, then extended *)
+  | Extended_first
+      (** write-heavy under core scarcity: extended, then the core *)
+
+(** Least-recently-used colour choice over one function's allocation.
+    In the first segment of the order that has a free register, the
+    pick is the lowest-index never-used register, else the free
+    register with the oldest stamp; the picked register then gets the
+    newest stamp.  A pick costs O(log n) plus one step per taken
+    register, independent of the file size. *)
+module Pick : sig
+  type t
+
+  (** No register used yet. *)
+  val create : config -> t
+
+  (** [pick t cls order ~taken] picks and stamps a register of class
+      [cls], or returns [None] when every register of the order is
+      [taken].  [taken] must hold only registers this state already
+      picked in class [cls] — the registers of interfering ranges,
+      which are always assigned earlier and in the same class. *)
+  val pick : t -> Reg.cls -> order -> taken:(int -> bool) -> int option
+end
 
 (** Profile-weighted use and definition counts of each virtual register.
     Their sum is the classic spill cost; their difference ranks core

@@ -191,6 +191,14 @@ let bool_field fields name ~default =
 let positive name v =
   if v >= 1 then Ok v else Error (Fmt.str "field %S must be positive" name)
 
+(* A core register count inside the range {!Rc_harness.Pipeline.options}
+   accepts, checked before anything is compiled. *)
+let core_count cls name v =
+  let lo = Rc_harness.Pipeline.min_core cls
+  and hi = Rc_harness.Pipeline.max_core in
+  if v >= lo && v <= hi then Ok v
+  else Error (Fmt.str "field %S must be in [%d, %d]" name lo hi)
+
 (* Decoders that can admit inline specs report through
    {!Rc_check.Spec.error}, keeping the 400 ([Malformed]) vs 413
    ([Too_large]) split; plain string errors are all [Malformed]. *)
@@ -255,8 +263,18 @@ let run_request_of_json j =
       let* issue =
         mal (Result.bind (int_field fields "issue" ~default:4) (positive "issue"))
       in
-      let* core_int = mal (int_field fields "core_int" ~default:16) in
-      let* core_float = mal (int_field fields "core_float" ~default:16) in
+      let* core_int =
+        mal
+          (Result.bind
+             (int_field fields "core_int" ~default:16)
+             (core_count Rc_isa.Reg.Int "core_int"))
+      in
+      let* core_float =
+        mal
+          (Result.bind
+             (int_field fields "core_float" ~default:16)
+             (core_count Rc_isa.Reg.Float "core_float"))
+      in
       let* rc = mal (bool_field fields "rc" ~default:false) in
       let* load = mal (int_field fields "load" ~default:2) in
       let* connect = mal (int_field fields "connect" ~default:0) in

@@ -34,21 +34,33 @@ let test_roles () =
   check "fspill temps" 2 (Array.length (Reg.spill_temps Reg.Float));
   check "home" 9 (Reg.home 9)
 
+(* Every allocatable register of a partition, in index order. *)
+let allocatable cls f =
+  let pt = Reg.partition cls f in
+  List.concat_map
+    (fun (r : Reg.range) -> List.init (Reg.size r) (fun k -> r.Reg.lo + k))
+    [ pt.Reg.caller; pt.Reg.callee; pt.Reg.extended ]
+
 let test_allocatable () =
   let f = Reg.file ~core:16 ~total:32 in
-  let alloc = Reg.allocatable Reg.Int f in
+  let alloc = allocatable Reg.Int f in
   check "allocatable count" (32 - Reg.first_alloc_int) (List.length alloc);
   check_bool "sp not allocatable" false (List.mem Reg.sp alloc);
-  check_bool "spill temp not allocatable" false (List.mem Reg.spill_base alloc);
+  Array.iter
+    (fun p -> check_bool "spill temp not allocatable" false (List.mem p alloc))
+    (Reg.spill_temps Reg.Int);
   check_bool "ra not allocatable" false (List.mem Reg.ra alloc);
   check_bool "first alloc included" true (List.mem Reg.first_alloc_int alloc);
   check_bool "extended included" true (List.mem 31 alloc)
 
 let test_callee_saved () =
   let f = Reg.core_only 16 in
-  let callee = Reg.callee_saved Reg.Int f in
+  let pt = Reg.partition Reg.Int f in
   (* allocatable core = 8..15, upper half = 12..15 *)
-  Alcotest.(check (list int)) "callee set" [ 12; 13; 14; 15 ] callee;
+  check "callee lo" 12 pt.Reg.callee.Reg.lo;
+  check "callee hi" 16 pt.Reg.callee.Reg.hi;
+  check "caller" 4 (Reg.size pt.Reg.caller);
+  check "no extended" 0 (Reg.size pt.Reg.extended);
   check_bool "is callee" true (Reg.is_callee_saved Reg.Int f 12);
   check_bool "not callee" false (Reg.is_callee_saved Reg.Int f 11)
 
@@ -289,6 +301,27 @@ let prop_assemble =
              || (i.Insn.target >= 0 && i.Insn.target < Array.length img.Image.code))
            img.Image.code)
 
+(* The three partitions of any file, including cores smaller than the
+   reserved registers and files without an extended section, are
+   disjoint, cover exactly [first_alloc, total), and agree with
+   [is_callee_saved]. *)
+let prop_partition =
+  QCheck.Test.make ~count:500 ~name:"partition ranges tile the allocatable file"
+    QCheck.(triple bool (int_range 4 40) (int_range 0 40))
+    (fun (is_int, core, ext) ->
+      let cls = if is_int then Reg.Int else Reg.Float in
+      let f = Reg.file ~core ~total:(core + ext) in
+      let pt = Reg.partition cls f in
+      let ranges = [ pt.Reg.caller; pt.Reg.callee; pt.Reg.extended ] in
+      List.for_all (fun (r : Reg.range) -> r.Reg.lo <= r.Reg.hi) ranges
+      && List.for_all
+           (fun p ->
+             let n = List.length (List.filter (fun r -> Reg.mem r p) ranges) in
+             n = (if p >= Reg.first_alloc cls && p < f.Reg.total then 1 else 0)
+             && Reg.is_callee_saved cls f p = Reg.mem pt.Reg.callee p
+             && (Reg.mem pt.Reg.extended p = (Reg.is_extended f p && n = 1)))
+           (List.init (f.Reg.total + 2) (fun p -> p - 1)))
+
 let suite =
   [
     ("file partition", `Quick, test_file_partition);
@@ -311,4 +344,5 @@ let suite =
     ("size breakdown", `Quick, test_size_breakdown);
     ("data initialisers", `Quick, test_write_init);
     QCheck_alcotest.to_alcotest prop_assemble;
+    QCheck_alcotest.to_alcotest prop_partition;
   ]

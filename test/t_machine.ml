@@ -826,6 +826,28 @@ let test_config_rejects_nonpositive () =
       ("fuel -5", fun () -> C.v ~fuel:(-5) ());
     ]
 
+let test_options_reject_core_counts () =
+  (* an integer core below the reserved registers cannot be lowered to
+     architectural form, and the allocation time and memory grow with the
+     file: the pipeline accepts 8..2048 integer and 4..2048 FP registers *)
+  List.iter
+    (fun (what, mk) ->
+      check_bool what true
+        (match mk () with
+        | (_ : Rc_harness.Pipeline.options) -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("core_int 5", fun () -> Rc_harness.Pipeline.options ~core_int:5 ());
+      ("core_int 2049", fun () -> Rc_harness.Pipeline.options ~core_int:2049 ());
+      ("core_float 3", fun () -> Rc_harness.Pipeline.options ~core_float:3 ());
+      ( "core_float 1000000",
+        fun () -> Rc_harness.Pipeline.options ~core_float:1_000_000 () );
+    ];
+  let o = Rc_harness.Pipeline.options ~core_int:8 ~core_float:4 () in
+  check "smallest integer core" 8 o.Rc_harness.Pipeline.core_int;
+  let o = Rc_harness.Pipeline.options ~core_int:2048 ~core_float:2048 () in
+  check "largest FP core" 2048 o.Rc_harness.Pipeline.core_float
+
 let test_bad_memory_access () =
   let insns =
     [ Insn.li ~dst:8 (-64L); Insn.ld ~dst:9 ~base:8 ~off:0 (); Insn.halt () ]
@@ -902,4 +924,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_issue_width;
     QCheck_alcotest.to_alcotest prop_chain_latency;
     QCheck_alcotest.to_alcotest prop_slot_invariant;
+    ("pipeline options reject core register counts", `Quick, test_options_reject_core_counts);
   ]

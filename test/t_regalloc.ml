@@ -225,6 +225,110 @@ let test_workloads_allocations_valid () =
         ])
     [ Rc_workloads.W_eqn.bench; Rc_workloads.W_lex.bench; Rc_workloads.W_tomcatv.bench ]
 
+(* --- the colour pick against the fold it replaced ------------------------ *)
+
+(* The reference: the pick as a fold over each segment's register list
+   (never-used registers have age -1; ties go to the earliest in list
+   order), with ages in one table keyed by (class, register). *)
+let fold_pick last_used cls segments ~taken =
+  let pick_in_segment seg =
+    List.fold_left
+      (fun best p ->
+        if taken p then best
+        else
+          let age =
+            try Hashtbl.find last_used (cls, p) with Not_found -> -1
+          in
+          match best with
+          | Some (_, best_age) when best_age <= age -> best
+          | _ -> Some (p, age))
+      None seg
+  in
+  let rec pick = function
+    | [] -> None
+    | seg :: rest -> (
+        match pick_in_segment seg with Some (p, _) -> Some p | None -> pick rest)
+  in
+  pick segments
+
+let fold_segments (cfg : Coloring.config) cls order =
+  let pt = cfg.Coloring.partition cls in
+  let regs (r : Reg.range) = List.init (Reg.size r) (fun k -> r.Reg.lo + k) in
+  let caller = regs pt.Reg.caller
+  and callee = regs pt.Reg.callee
+  and ext = regs pt.Reg.extended in
+  match order with
+  | Coloring.Call_crossing -> [ callee; caller; ext ]
+  | Coloring.Core_first -> [ caller @ callee; ext ]
+  | Coloring.Extended_first -> [ ext; caller @ callee ]
+
+(* Drives [Coloring.Pick] and the fold with one random sequence of
+   picks; each step's taken set is a random subset of the registers
+   already assigned in the picked class, as interfering neighbours'
+   registers always are.  Counts how often each case of the rule
+   decided a step. *)
+let pick_matches_fold ~rng ~steps ~ifile ~ffile (fresh, reused, full) =
+  let cfg = Coloring.config ~ifile ~ffile () in
+  let st = Coloring.Pick.create cfg in
+  let last_used = Hashtbl.create 64 and stamp = ref 0 in
+  let iassigned = ref [] and fassigned = ref [] in
+  let assigned = function Reg.Int -> iassigned | Reg.Float -> fassigned in
+  for step = 1 to steps do
+    let cls = if Random.State.bool rng then Reg.Int else Reg.Float in
+    let order =
+      match Random.State.int rng 3 with
+      | 0 -> Coloring.Call_crossing
+      | 1 -> Coloring.Core_first
+      | _ -> Coloring.Extended_first
+    in
+    let density = [| 0.; 0.3; 0.7; 0.95; 1. |].(Random.State.int rng 5) in
+    let taken = Hashtbl.create 16 in
+    List.iter
+      (fun p ->
+        if Random.State.float rng 1. < density then Hashtbl.replace taken p ())
+      !(assigned cls);
+    let taken = Hashtbl.mem taken in
+    let expected = fold_pick last_used cls (fold_segments cfg cls order) ~taken in
+    let got = Coloring.Pick.pick st cls order ~taken in
+    Alcotest.(check (option int)) (Fmt.str "step %d" step) expected got;
+    match expected with
+    | None -> incr full
+    | Some p ->
+        if Hashtbl.mem last_used (cls, p) then incr reused
+        else begin
+          incr fresh;
+          (assigned cls) := p :: !(assigned cls)
+        end;
+        incr stamp;
+        Hashtbl.replace last_used (cls, p) !stamp
+  done
+
+let test_pick_matches_fold () =
+  let counts = (ref 0, ref 0, ref 0) in
+  (* identical index ranges in both classes, as in the served default:
+     the pick state must be kept per class, not per range *)
+  let served = Reg.file ~core:16 ~total:256 in
+  pick_matches_fold ~rng:(Random.State.make [| 17 |]) ~steps:2000
+    ~ifile:served ~ffile:served counts;
+  let same = Reg.core_only 16 in
+  pick_matches_fold ~rng:(Random.State.make [| 18 |]) ~steps:500 ~ifile:same
+    ~ffile:same counts;
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed |] in
+    let file () =
+      let core = 4 + Random.State.int rng 21 in
+      let ext = if Random.State.bool rng then 0 else Random.State.int rng 41 in
+      Reg.file ~core ~total:(core + ext)
+    in
+    let ifile = file () in
+    let ffile = file () in
+    pick_matches_fold ~rng ~steps:300 ~ifile ~ffile counts
+  done;
+  let fresh, reused, full = counts in
+  check_bool "never-used case exercised" true (!fresh > 0);
+  check_bool "oldest-stamp case exercised" true (!reused > 0);
+  check_bool "all-taken case exercised" true (!full > 0)
+
 let suite =
   [
     ("no spills when roomy", `Quick, test_no_spills_when_roomy);
@@ -239,4 +343,5 @@ let suite =
     ("validation catches conflicts", `Quick, test_validate_catches_conflicts);
     ("class independence", `Quick, test_classes_allocated_independently);
     ("workload allocations valid", `Quick, test_workloads_allocations_valid);
+    ("LRU pick matches the reference fold", `Quick, test_pick_matches_fold);
   ]

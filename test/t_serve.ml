@@ -329,6 +329,30 @@ let test_nonpositive_machine () =
       let st, _, _ = request ~port ~meth:"GET" ~path:"/healthz" () in
       check "healthz still answers" 200 st)
 
+let test_core_count_bounds () =
+  with_server (fun _srv port ->
+      List.iter
+        (fun (field, v) ->
+          let st, _, body =
+            request ~port ~meth:"POST" ~path:"/run"
+              ~body:(Printf.sprintf {|{"bench":"cmp","%s":%d}|} field v)
+              ()
+          in
+          check (Fmt.str "400 for %s %d" field v) 400 st;
+          let detail = error_detail body in
+          check_bool
+            (Fmt.str "detail %S names %s" detail field)
+            true
+            (contains ~needle:field detail))
+        [
+          ("core_int", 5);
+          ("core_int", 2049);
+          ("core_int", 1_000_000);
+          ("core_float", 3);
+        ];
+      let st, _, _ = request ~port ~meth:"GET" ~path:"/healthz" () in
+      check "healthz still answers" 200 st)
+
 let test_version () =
   with_server (fun _srv port ->
       let st, _, body = request ~port ~meth:"GET" ~path:"/version" () in
@@ -866,4 +890,5 @@ let suite =
     ("store: publish/probe round-trip", `Quick, test_store_roundtrip);
     ("store: LRU eviction under a byte cap", `Quick, test_store_eviction);
     ("non-positive machine parameters get 400", `Slow, test_nonpositive_machine);
+    ("out-of-range core register counts get 400", `Slow, test_core_count_bounds);
   ]
