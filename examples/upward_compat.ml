@@ -152,11 +152,11 @@ let context_demo () =
   Fmt.pr "extended process context: %d words (+ extended registers + maps)@."
     (Context.words c_extended);
   (* round-trip the extended one through a context switch *)
-  Array.fill extended.Context.iregs 0 32 0L;
+  Bytes.fill extended.Context.iregs 0 (8 * 32) '\000';
   Map_table.reset extended.Context.imap;
   Context.restore extended c_extended;
   Fmt.pr "after restore: r7=%Ld, map entry 4 reads Rp%d — connection state survives@."
-    extended.Context.iregs.(7)
+    (Opcode.get_reg extended.Context.iregs 7)
     (Map_table.read extended.Context.imap 4)
 
 (* --- 4. handlers that need extended registers ------------------------------------ *)

@@ -29,25 +29,36 @@ type result =
    what they are. *)
 let float_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+(* The lowest differing register of each class.  This runs after every
+   cycle, so it is a plain loop that stops at the first mismatch and
+   allocates nothing until it finds one.  The machine's integer file is
+   8-byte little-endian slots ([Machine.t.iregs]); both sides have the
+   configuration's file sizes. *)
 let find_reg_mismatch (m : Machine.t) (o : Iexec.t) =
-  let bad = ref None in
-  Array.iteri
-    (fun p v ->
-      if !bad = None && not (Int64.equal v o.Iexec.iregs.(p)) then
-        bad :=
-          Some
-            ( "ireg",
-              Fmt.str "r%d: machine %Ld, oracle %Ld" p v o.Iexec.iregs.(p) ))
-    m.Machine.iregs;
-  Array.iteri
-    (fun p v ->
-      if !bad = None && not (float_eq v o.Iexec.fregs.(p)) then
-        bad :=
-          Some
-            ( "freg",
-              Fmt.str "f%d: machine %h, oracle %h" p v o.Iexec.fregs.(p) ))
-    m.Machine.fregs;
-  !bad
+  let mi = m.Machine.iregs and oi = o.Iexec.iregs in
+  let ni = Array.length oi in
+  let p = ref 0 in
+  while !p < ni && Int64.equal (Bytes.get_int64_le mi (!p lsl 3)) oi.(!p) do
+    incr p
+  done;
+  if !p < ni then
+    let p = !p in
+    Some
+      ( "ireg",
+        Fmt.str "r%d: machine %Ld, oracle %Ld" p
+          (Bytes.get_int64_le mi (p lsl 3))
+          oi.(p) )
+  else
+    let mf = m.Machine.fregs and ofr = o.Iexec.fregs in
+    let nf = Array.length ofr in
+    let p = ref 0 in
+    while !p < nf && float_eq mf.(!p) ofr.(!p) do
+      incr p
+    done;
+    if !p < nf then
+      let p = !p in
+      Some ("freg", Fmt.str "f%d: machine %h, oracle %h" p mf.(p) ofr.(p))
+    else None
 
 (* Entry-by-entry, not [Map_table.equal]: the oracle may deliberately
    run a different reset model ([?oracle_model]), and the question is
@@ -121,20 +132,23 @@ let compare_state (m : Machine.t) (o : Iexec.t) =
                             o.Iexec.psw.Psw.map_enable )
                     else None)))
 
+(* The lowest differing address.  Memories are compared whole first;
+   only a mismatch pays for the byte scan. *)
 let mem_mismatch (m : Machine.t) (o : Iexec.t) =
-  let n = min (Bytes.length m.Machine.mem) (Bytes.length o.Iexec.mem) in
-  let bad = ref None in
-  let i = ref 0 in
-  while !bad = None && !i < n do
-    if Bytes.get m.Machine.mem !i <> Bytes.get o.Iexec.mem !i then
-      bad :=
-        Some
-          (Fmt.str "mem[0x%x]: machine %d, oracle %d" !i
-             (Char.code (Bytes.get m.Machine.mem !i))
-             (Char.code (Bytes.get o.Iexec.mem !i)));
-    incr i
-  done;
-  !bad
+  let a = m.Machine.mem and b = o.Iexec.mem in
+  if Bytes.equal a b then None
+  else
+    let n = min (Bytes.length a) (Bytes.length b) in
+    let i = ref 0 in
+    while !i < n && Char.equal (Bytes.get a !i) (Bytes.get b !i) do
+      incr i
+    done;
+    if !i < n then
+      Some
+        (Fmt.str "mem[0x%x]: machine %d, oracle %d" !i
+           (Char.code (Bytes.get a !i))
+           (Char.code (Bytes.get b !i)))
+    else None
 
 (* --- the lockstep loop ---------------------------------------------------- *)
 

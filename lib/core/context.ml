@@ -10,10 +10,11 @@
 open Rc_isa
 
 (** A view of the register state of one machine, shared with the context
-    switcher.  Arrays are the full physical files; the tables are live
-    (restoring writes through them). *)
+    switcher.  The files are the machine's own, full physical files and
+    the tables are live: restoring writes through them.  [iregs] has
+    {!Opcode.get_reg}'s layout, one 8-byte slot per register. *)
 type machine_view = {
-  iregs : int64 array;
+  iregs : Bytes.t;
   fregs : float array;
   imap : Map_table.t;
   fmap : Map_table.t;
@@ -51,12 +52,14 @@ let save (m : machine_view) =
   let fcore = m.fmap.Map_table.file.Reg.core in
   let format = format_of_psw m.psw in
   let sub_ext a core = Array.sub a core (Array.length a - core) in
+  let isub lo n = Array.init n (fun k -> Opcode.get_reg m.iregs (lo + k)) in
+  let core_iregs = isub 0 icore in
   match format with
   | Original ->
       {
         format;
         saved_psw = Psw.copy m.psw;
-        core_iregs = Array.sub m.iregs 0 icore;
+        core_iregs;
         core_fregs = Array.sub m.fregs 0 fcore;
         ext_iregs = [||];
         ext_fregs = [||];
@@ -69,9 +72,9 @@ let save (m : machine_view) =
       {
         format;
         saved_psw = Psw.copy m.psw;
-        core_iregs = Array.sub m.iregs 0 icore;
+        core_iregs;
         core_fregs = Array.sub m.fregs 0 fcore;
-        ext_iregs = sub_ext m.iregs icore;
+        ext_iregs = isub icore (m.imap.Map_table.file.Reg.total - icore);
         ext_fregs = sub_ext m.fregs fcore;
         iread = Array.copy m.imap.Map_table.read_map;
         iwrite = Array.copy m.imap.Map_table.write_map;
@@ -82,7 +85,8 @@ let save (m : machine_view) =
 let restore (m : machine_view) (c : t) =
   let icore = m.imap.Map_table.file.Reg.core in
   let fcore = m.fmap.Map_table.file.Reg.core in
-  Array.blit c.core_iregs 0 m.iregs 0 (Array.length c.core_iregs);
+  let iblit a lo = Array.iteri (fun k v -> Opcode.set_reg m.iregs (lo + k) v) a in
+  iblit c.core_iregs 0;
   Array.blit c.core_fregs 0 m.fregs 0 (Array.length c.core_fregs);
   (match c.format with
   | Original ->
@@ -92,13 +96,9 @@ let restore (m : machine_view) (c : t) =
       Map_table.reset m.imap;
       Map_table.reset m.fmap
   | Extended ->
-      Array.blit c.ext_iregs 0 m.iregs icore (Array.length c.ext_iregs);
+      iblit c.ext_iregs icore;
       Array.blit c.ext_fregs 0 m.fregs fcore (Array.length c.ext_fregs);
-      Array.blit c.iread 0 m.imap.Map_table.read_map 0 (Array.length c.iread);
-      Array.blit c.iwrite 0 m.imap.Map_table.write_map 0
-        (Array.length c.iwrite);
-      Array.blit c.fread 0 m.fmap.Map_table.read_map 0 (Array.length c.fread);
-      Array.blit c.fwrite 0 m.fmap.Map_table.write_map 0
-        (Array.length c.fwrite));
+      Map_table.load m.imap ~read:c.iread ~write:c.iwrite;
+      Map_table.load m.fmap ~read:c.fread ~write:c.fwrite);
   m.psw.Psw.map_enable <- c.saved_psw.Psw.map_enable;
   m.psw.Psw.extended_arch <- c.saved_psw.Psw.extended_arch

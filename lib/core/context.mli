@@ -6,11 +6,13 @@
     architecture only need the core registers.  The PSW
     [extended_arch] flag selects between the two formats. *)
 
-(** A view of one machine's register state.  The arrays are the full
-    physical files; the tables are live (restoring writes through
-    them). *)
+(** A view of one machine's register state.  The files are the
+    machine's own, full physical files and the tables are live:
+    restoring writes through them.  [iregs] has the register-file
+    layout of {!Rc_isa.Opcode.get_reg}, one 8-byte slot per physical
+    register. *)
 type machine_view = {
-  iregs : int64 array;
+  iregs : Bytes.t;
   fregs : float array;
   imap : Map_table.t;
   fmap : Map_table.t;

@@ -16,6 +16,13 @@ type t = {
   file : Reg.file;
   read_map : int array;  (** length [file.core] *)
   write_map : int array;
+  mutable moved : bool;
+      (** some entry may point away from home.  Invariant: when clear,
+          every entry is home.  Connects and [load] set it, [reset]
+          clears it; automatic connections need not set it, because
+          they move entries home or copy the write map into the read
+          map, and a write map away from home means a connect set the
+          flag already. *)
   mutable connects_applied : int;  (** statistics *)
   mutable auto_resets : int;
 }
@@ -28,6 +35,7 @@ let create ?(model = Model.default) (file : Reg.file) =
     file;
     read_map = Array.init file.Reg.core Reg.home;
     write_map = Array.init file.Reg.core Reg.home;
+    moved = false;
     connects_applied = 0;
     auto_resets = 0;
   }
@@ -63,6 +71,7 @@ let connect_use t ~ri ~rp =
   check_index t ri;
   check_phys t rp;
   t.read_map.(ri) <- rp;
+  t.moved <- true;
   t.connects_applied <- t.connects_applied + 1
 
 (** [connect_def t ~ri ~rp]: redirect all subsequent writes of index
@@ -71,6 +80,7 @@ let connect_def t ~ri ~rp =
   check_index t ri;
   check_phys t rp;
   t.write_map.(ri) <- rp;
+  t.moved <- true;
   t.connects_applied <- t.connects_applied + 1
 
 (** Apply one update of a (possibly multiple-) connect instruction. *)
@@ -110,13 +120,26 @@ let note_write t i =
         t.auto_resets <- t.auto_resets + 1
       end
 
+(** Load saved maps (a context restore, paper section 4.2): entries
+    [0 .. length - 1] of each map take the saved values. *)
+let load t ~read ~write =
+  Array.blit read 0 t.read_map 0 (Array.length read);
+  Array.blit write 0 t.write_map 0 (Array.length write);
+  t.moved <- true
+
 (** Reset every entry to its home location: performed by hardware at
-    power-up and by [jsr]/[rts] (paper section 4.1). *)
+    power-up and by [jsr]/[rts] (paper section 4.1).  Constant time
+    when no entry has moved since the last reset, which is the common
+    case of a call under a large file: only code with connects moves
+    entries. *)
 let reset t =
-  for i = 0 to entries t - 1 do
-    t.read_map.(i) <- Reg.home i;
-    t.write_map.(i) <- Reg.home i
-  done
+  if t.moved then begin
+    for i = 0 to entries t - 1 do
+      t.read_map.(i) <- Reg.home i;
+      t.write_map.(i) <- Reg.home i
+    done;
+    t.moved <- false
+  end
 
 let is_home t =
   let ok = ref true in

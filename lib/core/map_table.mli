@@ -11,11 +11,17 @@
 
 open Rc_isa
 
+(** The maps are exposed for reading.  Write them only through the
+    functions below: each one that can move an entry away from home sets
+    [moved], and {!reset} rewrites the maps only when it is set. *)
 type t = {
   model : Model.t;
   file : Reg.file;
   read_map : int array;  (** length [file.core] *)
   write_map : int array;
+  mutable moved : bool;
+      (** some entry may point away from home; when clear, every entry
+          is home *)
   mutable connects_applied : int;  (** statistics *)
   mutable auto_resets : int;
 }
@@ -56,8 +62,14 @@ val apply : t -> Insn.connect -> unit
     are never touched. *)
 val note_write : t -> int -> unit
 
+(** [load t ~read ~write]: entries [0 .. length - 1] of the read and
+    write maps take the saved values (a context restore, paper section
+    4.2). *)
+val load : t -> read:int array -> write:int array -> unit
+
 (** Reset every entry to its home location: performed by hardware at
-    power-up and by [jsr]/[rts] (paper section 4.1). *)
+    power-up and by [jsr]/[rts] (paper section 4.1).  Constant time when
+    no entry has moved since the last reset. *)
 val reset : t -> unit
 
 (** True when every entry points home. *)

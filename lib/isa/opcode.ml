@@ -72,7 +72,7 @@ let is_mem op = is_load op || is_store op
 let is_connect = function Connect -> true | _ -> false
 let is_call = function Jsr -> true | _ -> false
 
-let eval_cond c (a : int64) (b : int64) =
+let[@inline] eval_cond c (a : int64) (b : int64) =
   match c with
   | Eq -> Int64.equal a b
   | Ne -> not (Int64.equal a b)
@@ -81,7 +81,7 @@ let eval_cond c (a : int64) (b : int64) =
   | Gt -> Int64.compare a b > 0
   | Ge -> Int64.compare a b >= 0
 
-let eval_fcond c (a : float) (b : float) =
+let[@inline] eval_fcond c (a : float) (b : float) =
   match c with
   | Eq -> a = b
   | Ne -> a <> b
@@ -100,7 +100,7 @@ let negate_cond = function
 
 (** Division semantics: division or remainder by zero yields zero rather
     than trapping, so every workload is total. *)
-let eval_alu op (a : int64) (b : int64) =
+let[@inline] eval_alu op (a : int64) (b : int64) =
   let open Int64 in
   match op with
   | Add -> add a b
@@ -117,7 +117,7 @@ let eval_alu op (a : int64) (b : int64) =
   | Slt -> if compare a b < 0 then 1L else 0L
   | Seq -> if equal a b then 1L else 0L
 
-let eval_fpu op (a : float) (b : float) =
+let[@inline] eval_fpu op (a : float) (b : float) =
   match op with
   | Fadd -> a +. b
   | Fsub -> a -. b
@@ -125,6 +125,35 @@ let eval_fpu op (a : float) (b : float) =
   | Fdiv -> if b = 0.0 then 0.0 else a /. b
   | Fneg -> -.a
   | Fabs -> Float.abs a
+
+(* --- register-file forms ------------------------------------------------- *)
+
+(* The simulator keeps its integer registers in a [Bytes.t], one 8-byte
+   little-endian slot per physical register, and its FP registers in a
+   flat [float array].  The forms below read their source registers,
+   evaluate with the evaluators above (inlined here) and write the
+   destination in place, so a value is never boxed between register
+   read and register write.  Their arguments are register indices:
+   plain integers, which cross a module boundary unboxed even when the
+   call is not inlined (the dev build passes [-opaque]). *)
+
+let[@inline] get_reg rf p =
+  if p = Reg.zero then 0L else Bytes.get_int64_le rf (p lsl 3)
+
+let[@inline] set_reg rf p v =
+  if p <> Reg.zero then Bytes.set_int64_le rf (p lsl 3) v
+
+let eval_alu_rf op rf d a b =
+  set_reg rf d (eval_alu op (get_reg rf a) (get_reg rf b))
+
+let eval_alui_rf op rf d a imm = set_reg rf d (eval_alu op (get_reg rf a) imm)
+let eval_cond_rf c rf a b = eval_cond c (get_reg rf a) (get_reg rf b)
+
+let eval_fpu_rf op (fr : float array) d a b =
+  fr.(d) <- eval_fpu op fr.(a) (if b < 0 then 0.0 else fr.(b))
+
+let eval_fcond_rf c (fr : float array) rf d a b =
+  set_reg rf d (if eval_fcond c fr.(a) fr.(b) then 1L else 0L)
 
 let string_of_alu = function
   | Add -> "add"

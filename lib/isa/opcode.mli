@@ -80,6 +80,39 @@ val negate_cond : cond -> cond
 val eval_alu : alu -> int64 -> int64 -> int64
 
 val eval_fpu : fpu -> float -> float -> float
+
+(** {2 Register-file forms}
+
+    The same evaluators applied in place to the simulator's register
+    files: an integer file is a [Bytes.t] with one 8-byte little-endian
+    slot per physical register, in which register {!Reg.zero} reads 0
+    and ignores writes; an FP file is a [float array].  Operands are
+    physical register indices, so no value is boxed across the call. *)
+
+(** [get_reg rf p]: integer register [p] of [rf]. *)
+val get_reg : Bytes.t -> int -> int64
+
+(** [set_reg rf p v]: write [v] to integer register [p] of [rf]. *)
+val set_reg : Bytes.t -> int -> int64 -> unit
+
+(** [eval_alu_rf op rf d a b]: [rf.(d) <- eval_alu op rf.(a) rf.(b)]. *)
+val eval_alu_rf : alu -> Bytes.t -> int -> int -> int -> unit
+
+(** [eval_alui_rf op rf d a imm]: [rf.(d) <- eval_alu op rf.(a) imm]. *)
+val eval_alui_rf : alu -> Bytes.t -> int -> int -> int64 -> unit
+
+(** [eval_cond_rf c rf a b]: [eval_cond c rf.(a) rf.(b)]. *)
+val eval_cond_rf : cond -> Bytes.t -> int -> int -> bool
+
+(** [eval_fpu_rf op fr d a b]: [fr.(d) <- eval_fpu op fr.(a) fr.(b)],
+    with [0.0] for the second operand when [b < 0] (the unary
+    operations). *)
+val eval_fpu_rf : fpu -> float array -> int -> int -> int -> unit
+
+(** [eval_fcond_rf c fr rf d a b]: integer register [d] of [rf] gets 1
+    when [eval_fcond c fr.(a) fr.(b)] holds, else 0. *)
+val eval_fcond_rf : cond -> float array -> Bytes.t -> int -> int -> int -> unit
+
 val string_of_alu : alu -> string
 val string_of_fpu : fpu -> string
 val string_of_cond : cond -> string

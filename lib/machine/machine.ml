@@ -389,7 +389,9 @@ type t = {
   image : Image.t;
   pre : Dins.t array;
       (** [image.code] predecoded once under [cfg.lat] (see {!Rc_isa.Dins}) *)
-  iregs : int64 array;
+  iregs : Bytes.t;
+      (** one 8-byte little-endian slot per physical register
+          ({!Rc_isa.Opcode.get_reg}'s layout), so values stay unboxed *)
   fregs : float array;
   imap : Map_table.t;
   fmap : Map_table.t;
@@ -422,7 +424,7 @@ let create (cfg : Config.t) (image : Image.t) =
       cfg;
       image;
       pre = Dins.decode ~lat:cfg.Config.lat image.Image.code;
-      iregs = Array.make cfg.ifile.Reg.total 0L;
+      iregs = Bytes.make (8 * cfg.ifile.Reg.total) '\000';
       fregs = Array.make cfg.ffile.Reg.total 0.0;
       imap = Map_table.create ~model:cfg.model cfg.ifile;
       fmap = Map_table.create ~model:cfg.model cfg.ffile;
@@ -439,7 +441,7 @@ let create (cfg : Config.t) (image : Image.t) =
       recorder = None;
     }
   in
-  t.iregs.(Reg.sp) <- Int64.of_int image.Image.stack_top;
+  Opcode.set_reg t.iregs Reg.sp (Int64.of_int image.Image.stack_top);
   t
 
 let context_view t =
@@ -455,31 +457,42 @@ let context_view t =
 
 (* [map_on] is the PSW map-enable flag read once per instruction: when
    it is clear the architectural index IS the physical register and the
-   [Map_table] indirection is skipped entirely (the hoisted fast path). *)
+   [Map_table] indirection is skipped entirely (the hoisted fast path).
+   When it is set, the maps are read in place: a call into another
+   module is not inlined under [-opaque]. *)
 
 let[@inline] resolve_read t ~map_on (cls : Reg.cls) r =
   if not map_on then r
   else
     match cls with
-    | Reg.Int -> Map_table.read t.imap r
-    | Reg.Float -> Map_table.read t.fmap r
+    | Reg.Int -> t.imap.Map_table.read_map.(r)
+    | Reg.Float -> t.fmap.Map_table.read_map.(r)
 
 let[@inline] resolve_write t ~map_on (cls : Reg.cls) r =
   if not map_on then r
   else
     match cls with
-    | Reg.Int -> Map_table.write t.imap r
-    | Reg.Float -> Map_table.write t.fmap r
+    | Reg.Int -> t.imap.Map_table.write_map.(r)
+    | Reg.Float -> t.fmap.Map_table.write_map.(r)
 
-(* Only called when the map is enabled. *)
+(* Only called when the map is enabled.  A table whose [moved] flag is
+   clear has every entry home, where an automatic connection changes
+   nothing under any model, so the call is skipped: code without
+   connects never makes it. *)
 let[@inline] note_write t (cls : Reg.cls) r =
   match cls with
-  | Reg.Int -> Map_table.note_write t.imap r
-  | Reg.Float -> Map_table.note_write t.fmap r
+  | Reg.Int -> if t.imap.Map_table.moved then Map_table.note_write t.imap r
+  | Reg.Float -> if t.fmap.Map_table.moved then Map_table.note_write t.fmap r
 
-let get_i t p = if p = Reg.zero then 0L else t.iregs.(p)
-let get_f t p = t.fregs.(p)
-let set_i t p v = if p <> Reg.zero then t.iregs.(p) <- v
+(* [Opcode.get_reg]/[set_reg], repeated here so that they are inlined
+   and the values they move stay unboxed. *)
+let[@inline] get_i t p =
+  if p = Reg.zero then 0L else Bytes.get_int64_le t.iregs (p lsl 3)
+
+let[@inline] set_i t p v =
+  if p <> Reg.zero then Bytes.set_int64_le t.iregs (p lsl 3) v
+
+let[@inline] get_f t p = t.fregs.(p)
 
 (* --- output stream ----------------------------------------------------- *)
 
@@ -499,11 +512,11 @@ let output_list t = Array.to_list (Array.sub t.out 0 t.out_len)
 
 (* --- memory ------------------------------------------------------------ *)
 
-let check_addr t a width =
+let[@inline] check_addr t a width =
   if a < 0 || a + width > Bytes.length t.mem then
     fail "bad address %d at pc %d" a t.pc
 
-let load_mem t width a =
+let[@inline] load_mem t width a =
   match width with
   | Opcode.W8 ->
       check_addr t a 8;
@@ -512,7 +525,7 @@ let load_mem t width a =
       check_addr t a 1;
       Int64.of_int (Char.code (Bytes.get t.mem a))
 
-let store_mem t width a v =
+let[@inline] store_mem t width a v =
   match width with
   | Opcode.W8 ->
       check_addr t a 8;
@@ -550,17 +563,25 @@ let set_recorder t r = t.recorder <- r
 (* --- one instruction ----------------------------------------------------- *)
 
 (* Destination writes of the execute arms.  [dp] is the resolved
-   physical destination, [-1] when the instruction has none. *)
+   physical destination, [-1] when the instruction has none; it is
+   checked before the write, and the model's automatic connection
+   (paper Figure 3) follows the write. *)
 
-let set_int t ~map_on (d : Dins.t) dp v =
-  if dp < 0 then fail "missing destination at pc %d" t.pc;
+let[@inline] check_dst t dp =
+  if dp < 0 then fail "missing destination at pc %d" t.pc
+
+let[@inline] wrote t ~map_on (d : Dins.t) =
+  if map_on then note_write t d.Dins.dc d.Dins.d
+
+let[@inline] set_int t ~map_on (d : Dins.t) dp v =
+  check_dst t dp;
   set_i t dp v;
-  if map_on then note_write t d.Dins.dc d.Dins.d
+  wrote t ~map_on d
 
-let set_float t ~map_on (d : Dins.t) dp v =
-  if dp < 0 then fail "missing destination at pc %d" t.pc;
+let[@inline] set_float t ~map_on (d : Dins.t) dp v =
+  check_dst t dp;
   t.fregs.(dp) <- v;
-  if map_on then note_write t d.Dins.dc d.Dins.d
+  wrote t ~map_on d
 
 (* The functional half of one issued instruction: its register, memory,
    map, PSW and output effects.  Returns the next pc. *)
@@ -569,21 +590,28 @@ let[@inline] execute t (d : Dins.t) ~map_on ~sp0 ~sp1 ~dp ~taken =
   let next_pc = ref (pc + 1) in
   (match d.Dins.op with
   | Opcode.Alu a ->
-      set_int t ~map_on d dp (Opcode.eval_alu a (get_i t sp0) (get_i t sp1))
+      check_dst t dp;
+      Opcode.eval_alu_rf a t.iregs dp sp0 sp1;
+      wrote t ~map_on d
   | Opcode.Alui a ->
-      set_int t ~map_on d dp (Opcode.eval_alu a (get_i t sp0) d.Dins.imm)
+      check_dst t dp;
+      Opcode.eval_alui_rf a t.iregs dp sp0 d.Dins.imm;
+      wrote t ~map_on d
   | Opcode.Li -> set_int t ~map_on d dp d.Dins.imm
   | Opcode.Move -> set_int t ~map_on d dp (get_i t sp0)
   | Opcode.Fli -> set_float t ~map_on d dp d.Dins.fimm
   | Opcode.Fmove -> set_float t ~map_on d dp (get_f t sp0)
   | Opcode.Fpu f ->
-      let b = if d.Dins.nsrcs > 1 then get_f t sp1 else 0.0 in
-      set_float t ~map_on d dp (Opcode.eval_fpu f (get_f t sp0) b)
+      (* [sp1] is -1 for the unary operations *)
+      check_dst t dp;
+      Opcode.eval_fpu_rf f t.fregs dp sp0 sp1;
+      wrote t ~map_on d
   | Opcode.Itof -> set_float t ~map_on d dp (Int64.to_float (get_i t sp0))
   | Opcode.Ftoi -> set_int t ~map_on d dp (Int64.of_float (get_f t sp0))
   | Opcode.Fcmp c ->
-      set_int t ~map_on d dp
-        (if Opcode.eval_fcond c (get_f t sp0) (get_f t sp1) then 1L else 0L)
+      check_dst t dp;
+      Opcode.eval_fcond_rf c t.fregs t.iregs dp sp0 sp1;
+      wrote t ~map_on d
   | Opcode.Ld w ->
       let a = Int64.to_int (get_i t sp0) + Int64.to_int d.Dins.imm in
       set_int t ~map_on d dp (load_mem t w a)
@@ -690,8 +718,7 @@ let run_cycle_raw t =
       | Timing.Ready ->
           let taken =
             match d.Dins.op with
-            | Opcode.Br cond ->
-                Opcode.eval_cond cond (get_i t sp0) (get_i t sp1)
+            | Opcode.Br cond -> Opcode.eval_cond_rf cond t.iregs sp0 sp1
             | _ -> false
           in
           t.pc <- execute t d ~map_on ~sp0 ~sp1 ~dp ~taken;

@@ -166,7 +166,10 @@ type t = {
       (** [image.code] predecoded once under [cfg.lat] (see
           {!Rc_isa.Dins}): the issue loop reads flat scalar fields
           instead of re-matching [Insn.t] and allocating per operand *)
-  iregs : int64 array;
+  iregs : Bytes.t;
+      (** one 8-byte little-endian slot per physical register (the
+          layout of {!Rc_isa.Opcode.get_reg}), so the issue loop moves
+          integer values without boxing them *)
   fregs : float array;
   imap : Rc_core.Map_table.t;
   fmap : Rc_core.Map_table.t;

@@ -434,6 +434,52 @@ let test_corpus_specs () =
                 (Spec.error_detail e)))
     fixtures
 
+(* --- lockstep state comparison ------------------------------------------------ *)
+
+(* A divergence report names the lowest differing register or address,
+   and equal states report nothing. *)
+let test_lockstep_reports_lowest () =
+  let ifile = Reg.core_only 32 and ffile = Reg.core_only 16 in
+  let cfg = Rc_machine.Config.v ~ifile ~ffile () in
+  let mc = Mcode.create ~entry:"main" in
+  Mcode.add_func mc
+    {
+      Mcode.name = "main";
+      entry_label = 0;
+      blocks = [ { Mcode.label = 0; insns = [ Insn.halt () ] } ];
+    };
+  let image = Image.assemble mc in
+  let fresh () =
+    ( Rc_machine.Machine.create cfg image,
+      Rc_interp.Iexec.create ~ifile ~ffile image )
+  in
+  let state = Alcotest.(option (pair string string)) in
+  let mem = Alcotest.(option string) in
+  let m, o = fresh () in
+  Alcotest.check state "equal states" None (Lockstep.compare_state m o);
+  Alcotest.check mem "equal memories" None (Lockstep.mem_mismatch m o);
+  o.Rc_interp.Iexec.iregs.(20) <- 5L;
+  o.Rc_interp.Iexec.iregs.(9) <- -3L;
+  Alcotest.check state "lower integer register"
+    (Some ("ireg", "r9: machine 0, oracle -3"))
+    (Lockstep.compare_state m o);
+  let m, o = fresh () in
+  o.Rc_interp.Iexec.fregs.(12) <- 1.5;
+  o.Rc_interp.Iexec.fregs.(3) <- 2.0;
+  Alcotest.check state "lower FP register"
+    (Some ("freg", Fmt.str "f3: machine %h, oracle %h" 0.0 2.0))
+    (Lockstep.compare_state m o);
+  let top = Bytes.length m.Rc_machine.Machine.mem - 1 in
+  Bytes.set m.Rc_machine.Machine.mem top 'a';
+  Bytes.set o.Rc_interp.Iexec.mem 0x120 'b';
+  Alcotest.check mem "lower address"
+    (Some "mem[0x120]: machine 0, oracle 98")
+    (Lockstep.mem_mismatch m o);
+  Bytes.set o.Rc_interp.Iexec.mem 0x120 '\000';
+  Alcotest.check mem "last address"
+    (Some (Fmt.str "mem[0x%x]: machine 97, oracle 0" top))
+    (Lockstep.mem_mismatch m o)
+
 let suite =
   [
     ("generator accepted by pipeline", `Slow, test_generator_accepted);
@@ -447,4 +493,5 @@ let suite =
     ("cli argument validation", `Quick, test_arg_validation);
     ("cli error messages distinct", `Quick, test_arg_messages_distinct);
     ("corpus replay", `Quick, test_corpus_replay);
+    ("lockstep reports the lowest difference", `Quick, test_lockstep_reports_lowest);
   ]

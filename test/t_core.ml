@@ -225,10 +225,17 @@ let test_psw_arch_flag () =
 
 (* --- context switching (section 4.2) --------------------------------------- *)
 
+(* An integer register file in the machine's layout (one 8-byte slot
+   per register) holding [a]. *)
+let iregs_of_array a =
+  let rf = Bytes.make (8 * Array.length a) '\000' in
+  Array.iteri (Opcode.set_reg rf) a;
+  rf
+
 let make_view ?(extended_arch = true) () =
   let ifile = Reg.file ~core:8 ~total:16 and ffile = Reg.file ~core:4 ~total:8 in
   {
-    Context.iregs = Array.init 16 Int64.of_int;
+    Context.iregs = iregs_of_array (Array.init 16 Int64.of_int);
     fregs = Array.init 8 float_of_int;
     imap = Map_table.create ifile;
     fmap = Map_table.create ffile;
@@ -242,13 +249,15 @@ let test_context_roundtrip_extended () =
   let saved = Context.save view in
   check_bool "extended format" true (saved.Context.format = Context.Extended);
   (* clobber everything *)
-  Array.fill view.Context.iregs 0 16 0L;
+  Bytes.fill view.Context.iregs 0 (8 * 16) '\000';
   Array.fill view.Context.fregs 0 8 0.0;
   Map_table.reset view.Context.imap;
   Map_table.reset view.Context.fmap;
   Context.restore view saved;
-  Alcotest.(check int64) "core reg restored" 5L view.Context.iregs.(5);
-  Alcotest.(check int64) "extended reg restored" 12L view.Context.iregs.(12);
+  Alcotest.(check int64) "core reg restored" 5L
+    (Opcode.get_reg view.Context.iregs 5);
+  Alcotest.(check int64) "extended reg restored" 12L
+    (Opcode.get_reg view.Context.iregs 12);
   Alcotest.(check (float 0.0)) "fp restored" 6.0 view.Context.fregs.(6);
   check "connection restored" 12 (Map_table.read view.Context.imap 3);
   check "fp connection restored" 6 (Map_table.write view.Context.fmap 1)
@@ -468,6 +477,63 @@ let qcheck_suite =
         [ Model.Write_reset; Model.Write_reset_read_update ]
     @ List.map prop_reset_is_home Model.all)
 
+(* [Map_table.reset] rewrites the maps only when an entry may have
+   moved since the last reset.  A reference table that rewrites every
+   entry on every reset must agree with it after every step, under every
+   model, through connects, automatic connections, loads and resets. *)
+type reset_step = Op of table_op | Load of int array * int array
+
+let reference_step model (r, w) = function
+  | Op (T_use (i, p)) -> r.(i) <- p
+  | Op (T_def (i, p)) -> w.(i) <- p
+  | Op (T_write i) -> (
+      match model with
+      | Model.No_reset -> ()
+      | Model.Write_reset -> w.(i) <- Reg.home i
+      | Model.Write_reset_read_update ->
+          r.(i) <- w.(i);
+          w.(i) <- Reg.home i
+      | Model.Read_write_reset ->
+          r.(i) <- Reg.home i;
+          w.(i) <- Reg.home i)
+  | Op T_reset ->
+      Array.iteri (fun i _ -> r.(i) <- Reg.home i) r;
+      Array.iteri (fun i _ -> w.(i) <- Reg.home i) w
+  | Load (lr, lw) ->
+      Array.blit lr 0 r 0 (Array.length lr);
+      Array.blit lw 0 w 0 (Array.length lw)
+
+let prop_reset_matches_full_rewrite =
+  let entries = 6 and total = 20 in
+  let file = Reg.file ~core:entries ~total in
+  let map_gen = QCheck.Gen.(array_repeat entries (int_range 0 (total - 1))) in
+  let step_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (10, map (fun o -> Op o) (table_op_gen entries total));
+          (2, return (Op T_reset));
+          (1, map2 (fun r w -> Load (r, w)) map_gen map_gen);
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"O(1) reset agrees with a full rewrite"
+    (QCheck.make
+       QCheck.Gen.(pair (oneofl Model.all) (list_size (int_range 0 60) step_gen)))
+    (fun (model, steps) ->
+      let t = Map_table.create ~model file in
+      let r = Array.init entries Reg.home and w = Array.init entries Reg.home in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Op o -> apply_table_op t o
+          | Load (lr, lw) -> Map_table.load t ~read:lr ~write:lw);
+          reference_step model (r, w) step;
+          (match step with Op T_reset -> Map_table.is_home t | _ -> true)
+          && List.for_all
+               (fun i -> Map_table.read t i = r.(i) && Map_table.write t i = w.(i))
+               (List.init entries Fun.id))
+        steps)
+
 let suite =
   [
     ("home at power-up", `Quick, test_home_initial);
@@ -499,3 +565,4 @@ let suite =
     test_forwarding_variants_agree;
   ]
   @ qcheck_suite
+  @ [ QCheck_alcotest.to_alcotest prop_reset_matches_full_rewrite ]

@@ -322,6 +322,103 @@ let prop_partition =
              && (Reg.mem pt.Reg.extended p = (Reg.is_extended f p && n = 1)))
            (List.init (f.Reg.total + 2) (fun p -> p - 1)))
 
+(* The register-file forms against the evaluators they wrap, for every
+   operation and every (destination, source, source) triple over a
+   six-register file.  Slot 0 holds garbage: r0 must still read 0 and
+   drop writes.  r0 as a source makes every case divide by zero, r4
+   holds a shift amount above 63, and f1 holds 0.0 for FP division by
+   zero. *)
+let prop_register_file_forms =
+  let n = 6 in
+  let int_val =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl [ 0L; 1L; -1L; 63L; 64L; Int64.min_int; Int64.max_int ]);
+          (2, int64);
+        ])
+  in
+  let float_val =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ 0.0; -0.0; 1.0; Float.nan; Float.infinity ]); (2, float) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (array_repeat n int_val) (int_range 64 1000)
+        (array_repeat n float_val) int_val)
+  in
+  let all_alu = Opcode.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Sll; Srl; Sra; Slt; Seq ] in
+  let all_cond = Opcode.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let all_fpu = Opcode.[ Fadd; Fsub; Fmul; Fdiv; Fneg; Fabs ] in
+  let regs = List.init n Fun.id in
+  QCheck.Test.make ~count:100 ~name:"register-file forms match the evaluators"
+    (QCheck.make gen)
+    (fun (ivals, shift, fvals, imm) ->
+      ivals.(4) <- Int64.of_int shift;
+      fvals.(1) <- 0.0;
+      if Int64.equal ivals.(0) 0L then ivals.(0) <- 77L;
+      let rf_of vals =
+        let rf = Bytes.create (8 * n) in
+        Array.iteri (fun p v -> Bytes.set_int64_le rf (8 * p) v) vals;
+        rf
+      in
+      let get p = if p = 0 then 0L else ivals.(p) in
+      (* the integer file after writing [v] to [d] *)
+      let after d v =
+        let e = Array.copy ivals in
+        if d <> 0 then e.(d) <- v;
+        rf_of e
+      in
+      let same_floats a b =
+        Array.for_all2
+          (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+          a b
+      in
+      let ok = ref true in
+      let expect c = if not c then ok := false in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  List.iter
+                    (fun op ->
+                      let rf = rf_of ivals in
+                      Opcode.eval_alu_rf op rf d a b;
+                      expect (Bytes.equal rf (after d (Opcode.eval_alu op (get a) (get b))));
+                      let rf = rf_of ivals in
+                      Opcode.eval_alui_rf op rf d a imm;
+                      expect (Bytes.equal rf (after d (Opcode.eval_alu op (get a) imm))))
+                    all_alu;
+                  List.iter
+                    (fun c ->
+                      expect
+                        (Opcode.eval_cond_rf c (rf_of ivals) a b
+                        = Opcode.eval_cond c (get a) (get b));
+                      let rf = rf_of ivals in
+                      Opcode.eval_fcond_rf c fvals rf d a b;
+                      let v = Opcode.eval_fcond c fvals.(a) fvals.(b) in
+                      expect (Bytes.equal rf (after d (if v then 1L else 0L))))
+                    all_cond;
+                  List.iter
+                    (fun op ->
+                      (* b = -1 stands for the absent second operand *)
+                      List.iter
+                        (fun b ->
+                          let fr = Array.copy fvals in
+                          Opcode.eval_fpu_rf op fr d a b;
+                          let e = Array.copy fvals in
+                          e.(d) <- Opcode.eval_fpu op fvals.(a) (if b < 0 then 0.0 else fvals.(b));
+                          expect (same_floats fr e))
+                        [ b; b - n ])
+                    all_fpu)
+                regs)
+            regs)
+        regs;
+      !ok)
+
 let suite =
   [
     ("file partition", `Quick, test_file_partition);
@@ -345,4 +442,5 @@ let suite =
     ("data initialisers", `Quick, test_write_init);
     QCheck_alcotest.to_alcotest prop_assemble;
     QCheck_alcotest.to_alcotest prop_partition;
+    QCheck_alcotest.to_alcotest prop_register_file_forms;
   ]

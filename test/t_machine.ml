@@ -597,11 +597,23 @@ let test_context_switch_roundtrip () =
   let view = M.context_view t in
   let saved = Context.save view in
   (* another process tramples the state *)
-  Array.fill view.Context.iregs 0 32 0L;
+  Bytes.fill view.Context.iregs 0 (8 * 32) '\000';
   Map_table.reset view.Context.imap;
   Context.restore view saved;
-  Alcotest.(check int64) "register restored" 123L view.Context.iregs.(7);
-  check "connection restored" 25 (Map_table.read view.Context.imap 5)
+  Alcotest.(check int64) "register restored" 123L
+    (Opcode.get_reg view.Context.iregs 7);
+  check "connection restored" 25 (Map_table.read view.Context.imap 5);
+  (* The view is the machine's own state, not a copy: the process
+     resumed on a second machine emits the restored r7 ... *)
+  let t2 = M.create cfg (image_of [ Insn.emit ~src:7; Insn.halt () ]) in
+  Context.restore (M.context_view t2) saved;
+  Alcotest.(check (list int64))
+    "resumed machine sees r7" [ 123L ] (M.run_machine t2).M.output;
+  (* ... and a reset there, as jsr/rts do, brings the restored
+     connection home *)
+  check "connection restored on the machine" 25 (Map_table.read t2.M.imap 5);
+  Map_table.reset t2.M.imap;
+  check_bool "reset after restore is home" true (Map_table.is_home t2.M.imap)
 
 (* --- slot accounting (stall attribution) ------------------------------------------------ *)
 
@@ -848,6 +860,27 @@ let test_options_reject_core_counts () =
   let o = Rc_harness.Pipeline.options ~core_int:2048 ~core_float:2048 () in
   check "largest FP core" 2048 o.Rc_harness.Pipeline.core_float
 
+(* The issue loop keeps every value unboxed from register read to
+   register write, so a run's minor allocation is its fixed set-up
+   (predecode, output list), well under half a word per instruction.  A
+   value boxed on the hot path costs at least two words per instruction
+   that executes it. *)
+let test_execute_allocation () =
+  List.iter
+    (fun name ->
+      let b = Rc_workloads.Registry.find name in
+      let opts = Rc_harness.Pipeline.options ~rc:true ~core_int:16 ~core_float:16 () in
+      let c = Rc_harness.Pipeline.compile opts (b.Rc_workloads.Wutil.build 1) in
+      let cfg = Rc_harness.Pipeline.machine_config opts in
+      let w0 = Gc.minor_words () in
+      let r = M.run cfg c.Rc_harness.Pipeline.image in
+      let words = Gc.minor_words () -. w0 in
+      let per_insn = words /. float_of_int r.M.issued in
+      if per_insn >= 0.5 then
+        Alcotest.failf "%s: %.2f minor words per issued instruction" name
+          per_insn)
+    [ "espresso"; "tomcatv" ]
+
 let test_bad_memory_access () =
   let insns =
     [ Insn.li ~dst:8 (-64L); Insn.ld ~dst:9 ~base:8 ~off:0 (); Insn.halt () ]
@@ -925,4 +958,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chain_latency;
     QCheck_alcotest.to_alcotest prop_slot_invariant;
     ("pipeline options reject core register counts", `Quick, test_options_reject_core_counts);
+    ("execution allocates almost nothing", `Quick, test_execute_allocation);
   ]
