@@ -72,7 +72,7 @@ store-smoke:
 
 # Superblock timing-memo smoke: warm store-backed replay of fig7 +
 # ablation-unroll must hit the memo at >= 80% and produce tables
-# byte-identical to --no-timing-memo (DESIGN.md section 18).
+# byte-identical to --engine execute (DESIGN.md section 18).
 memo-smoke:
 	dune build @memo-smoke
 

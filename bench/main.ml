@@ -19,9 +19,6 @@
                                keep all)
      main.exe --store DIR      on-disk trace store: recorded traces
                                persist and later runs replay from disk
-     main.exe --no-timing-memo disable the superblock timing memo
-                               inside replay (A/B switch; identical
-                               tables)
      main.exe --save sweep.json --assert-replay-dominates
                                after saving, compare the log's replay
                                runs against its execute runs — medians
@@ -29,8 +26,6 @@
                                1 unless replay won (strictly on the
                                total, with a small per-experiment
                                jitter allowance)
-     main.exe bechamel         Bechamel micro-timings, one Test.make per
-                               experiment (times the regeneration code)
 
    Flags may appear anywhere relative to the experiment ids.
    Tables are byte-identical for every --jobs value (the fan-out is
@@ -39,22 +34,7 @@
    Speedups follow the paper: base = 1-issue processor with unlimited
    registers and conventional scalar optimisation. *)
 
-let ids =
-  [
-    "table1";
-    "fig7";
-    "fig8-int";
-    "fig8-fp";
-    "fig9-int";
-    "fig9-fp";
-    "fig10";
-    "fig11";
-    "fig12";
-    "fig13";
-    "ablation-models";
-    "ablation-combine";
-    "ablation-unroll";
-  ]
+let ids = Rc_harness.Experiments.figure_ids
 
 (** Print one experiment and return its wall time, for [--save]. *)
 let print_experiment ctx id =
@@ -285,90 +265,13 @@ let assert_replay_dominates path =
     rp_total ex_total (rp_total /. ex_total) dominate_factor
     (List.length rps) (List.length exs)
 
-(* --- Bechamel: one Test.make per table/figure ------------------------- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  (* Each test times the regeneration of one experiment's core
-     compile+simulate cell on a fresh context: the full 12-benchmark
-     sweeps are macro-scale, so per-cell timing keeps Bechamel's
-     iterations meaningful. *)
-  let cell ~rc ~issue ?(load = 2) ?(connect = 0) ?(extra_stage = false)
-      ?(mem_channels = 2) ?(model = Rc_core.Model.default) ?(combine = true)
-      bench_name =
-    let b = Rc_workloads.Registry.find bench_name in
-    let lat = Rc_isa.Latency.v ~load ~connect () in
-    fun () ->
-      let ctx = Rc_harness.Experiments.create ~scale:1 () in
-      ignore
-        (Rc_harness.Experiments.run ctx b
-           (Rc_harness.Experiments.reg_opts b ~label:16 ~rc ~issue
-              ~mem_channels ~lat ~model ~combine ~extra_stage ()))
-  in
-  [
-    Test.make ~name:"table1" (Staged.stage (fun () ->
-        ignore (Rc_harness.Experiments.table1 ())));
-    Test.make ~name:"fig7-cell" (Staged.stage (fun () ->
-        let ctx = Rc_harness.Experiments.create ~scale:1 () in
-        let b = Rc_workloads.Registry.find "cmp" in
-        ignore
-          (Rc_harness.Experiments.run ctx b
-             (Rc_harness.Experiments.unlimited_opts ~issue:4 ()))));
-    Test.make ~name:"fig8-cell" (Staged.stage (cell ~rc:true ~issue:4 "eqn"));
-    Test.make ~name:"fig9-cell" (Staged.stage (cell ~rc:false ~issue:4 "eqn"));
-    Test.make ~name:"fig10-cell"
-      (Staged.stage (cell ~rc:true ~issue:8 ~mem_channels:4 "lex"));
-    Test.make ~name:"fig11-cell" (Staged.stage (cell ~rc:true ~issue:4 ~load:4 "lex"));
-    Test.make ~name:"fig12-cell"
-      (Staged.stage (cell ~rc:true ~issue:4 ~connect:1 ~extra_stage:true "grep"));
-    Test.make ~name:"fig13-cell"
-      (Staged.stage (cell ~rc:true ~issue:4 ~mem_channels:4 "grep"));
-    Test.make ~name:"ablation-models-cell"
-      (Staged.stage (cell ~rc:true ~issue:4 ~model:Rc_core.Model.No_reset "cmp"));
-    Test.make ~name:"ablation-combine-cell"
-      (Staged.stage (cell ~rc:true ~issue:4 ~combine:false "cmp"));
-    Test.make ~name:"ablation-unroll-cell"
-      (Staged.stage (fun () ->
-           let ctx = Rc_harness.Experiments.create ~scale:1 () in
-           let b = Rc_workloads.Registry.find "lex" in
-           ignore
-             (Rc_harness.Experiments.run ctx b
-                (Rc_harness.Experiments.reg_opts b ~label:32 ~rc:true
-                   ~opt:(Rc_opt.Pass.Ilp 8) ()))));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~stabilize:true ~quota:(Time.second 0.8) ()
-  in
-  let tests =
-    Test.make_grouped ~name:"experiments" ~fmt:"%s %s" (bechamel_tests ())
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Fmt.pr "@.== Bechamel micro-timings (ns per regeneration cell) ==@.";
-  (* Hashtbl.iter order is hash order: sort by test name so runs are
-     comparable (and diffable) across invocations. *)
-  Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols_result) ->
-         match Analyze.OLS.estimates ols_result with
-         | Some (est :: _) -> Fmt.pr "%-36s %12.0f ns/run@." name est
-         | _ -> Fmt.pr "%-36s (no estimate)@." name)
-
 (* --- entry -------------------------------------------------------------- *)
 
 let usage () =
   Fmt.epr
     "usage: main.exe [--scale N] [--jobs N] [--engine execute|replay|auto] \
-     [--metrics FILE] [--store DIR] [--no-timing-memo] [--save FILE \
-     [--keep N] [--assert-replay-dominates]] [all | bechamel | <id>...]@.";
+     [--metrics FILE] [--store DIR] [--save FILE [--keep N] \
+     [--assert-replay-dominates]] [all | <id>...]@.";
   Fmt.epr "experiments: %s@." (String.concat " " ids);
   exit 1
 
@@ -395,7 +298,6 @@ let () =
   let assert_dom = ref false in
   let keep = ref None in
   let store_dir = ref None in
-  let timing_memo = ref true in
   (* Flags may appear before, between or after the experiment ids. *)
   let rec parse acc = function
     | "--scale" :: rest ->
@@ -462,70 +364,62 @@ let () =
         | [] ->
             Fmt.epr "--store needs an argument@.";
             usage ())
-    | "--no-timing-memo" :: rest ->
-        timing_memo := false;
-        parse acc rest
     | x :: _ when String.length x > 1 && x.[0] = '-' ->
         Fmt.epr "unknown option %s@." x;
         usage ()
     | x :: rest -> parse (x :: acc) rest
     | [] -> List.rev acc
   in
-  let selected = parse [] args in
-  match selected with
-  | [ "bechamel" ] -> run_bechamel ()
-  | sel ->
-      let sel = match sel with [] | [ "all" ] -> ids | sel -> sel in
-      (match List.filter (fun id -> not (List.mem id ids)) sel with
-      | [] -> ()
-      | unknown ->
-          Fmt.epr "unknown experiment%s: %s@."
-            (if List.length unknown > 1 then "s" else "")
-            (String.concat " " unknown);
-          usage ());
-      let ctx =
-        Rc_harness.Experiments.create ~scale:!scale ~jobs:!jobs ~engine:!engine
-          ~timing_memo:!timing_memo ()
-      in
-      (match !store_dir with
+  let sel = match parse [] args with [] | [ "all" ] -> ids | sel -> sel in
+  (match List.filter (fun id -> not (List.mem id ids)) sel with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "unknown experiment%s: %s@."
+        (if List.length unknown > 1 then "s" else "")
+        (String.concat " " unknown);
+      usage ());
+  let ctx =
+    Rc_harness.Experiments.create ~scale:!scale ~jobs:!jobs ~engine:!engine ()
+  in
+  (match !store_dir with
+  | None -> ()
+  | Some dir ->
+      let st = Rc_serve.Store.open_store ~dir () in
+      Rc_harness.Experiments.set_store ctx ~probe:(Rc_serve.Store.probe st)
+        ~publish:(Rc_serve.Store.publish st));
+  Fun.protect
+    ~finally:(fun () -> Rc_harness.Experiments.shutdown ctx)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let timings = List.map (fun id -> (id, print_experiment ctx id)) sel in
+      let total_s = Unix.gettimeofday () -. t0 in
+      (match !save with
+      | None ->
+          if !assert_dom then begin
+            Fmt.epr "--assert-replay-dominates requires --save FILE@.";
+            usage ()
+          end
+      | Some path ->
+          (try
+             save_sweep path ~scale:!scale ~jobs:!jobs ~engine:!engine
+               ~total_s ~timings ~keep:!keep
+               ~stats:(Rc_harness.Experiments.engine_stats ctx)
+           with Sys_error m ->
+             Fmt.epr "bench: cannot save sweep log: %s@." m;
+             exit 1);
+          if !assert_dom then assert_replay_dominates path);
+      (* Dump the telemetry while the pool is still alive so its
+         per-domain stats are included. *)
+      match !metrics with
       | None -> ()
-      | Some dir ->
-          let st = Rc_serve.Store.open_store ~dir () in
-          Rc_harness.Experiments.set_store ctx ~probe:(Rc_serve.Store.probe st)
-            ~publish:(Rc_serve.Store.publish st));
-      Fun.protect
-        ~finally:(fun () -> Rc_harness.Experiments.shutdown ctx)
-        (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let timings = List.map (fun id -> (id, print_experiment ctx id)) sel in
-          let total_s = Unix.gettimeofday () -. t0 in
-          (match !save with
-          | None ->
-              if !assert_dom then begin
-                Fmt.epr "--assert-replay-dominates requires --save FILE@.";
-                usage ()
-              end
-          | Some path ->
-              (try
-                 save_sweep path ~scale:!scale ~jobs:!jobs ~engine:!engine
-                   ~total_s ~timings ~keep:!keep
-                   ~stats:(Rc_harness.Experiments.engine_stats ctx)
-               with Sys_error m ->
-                 Fmt.epr "bench: cannot save sweep log: %s@." m;
-                 exit 1);
-              if !assert_dom then assert_replay_dominates path);
-          (* Dump the telemetry while the pool is still alive so its
-             per-domain stats are included. *)
-          match !metrics with
-          | None -> ()
-          | Some path -> (
-              try
-                Rc_obs.Fsio.write_atomic path (fun oc ->
-                    output_string oc
-                      (Rc_obs.Json.to_string
-                         (Rc_harness.Experiments.metrics_json ctx));
-                    output_char oc '\n');
-                Fmt.epr "metrics written to %s@." path
-              with Sys_error m ->
-                Fmt.epr "bench: cannot write metrics: %s@." m;
-                exit 1))
+      | Some path -> (
+          try
+            Rc_obs.Fsio.write_atomic path (fun oc ->
+                output_string oc
+                  (Rc_obs.Json.to_string
+                     (Rc_harness.Experiments.metrics_json ctx));
+                output_char oc '\n');
+            Fmt.epr "metrics written to %s@." path
+          with Sys_error m ->
+            Fmt.epr "bench: cannot write metrics: %s@." m;
+            exit 1))

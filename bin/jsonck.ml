@@ -27,9 +27,10 @@
 
    [--figures-equal] asserts two `rcc figures --json` documents carry
    the same results: structural equality after dropping the
-   "trace_cache" member, the only field the timing-engine path (batched
-   vs per-cell, engine, jobs) is allowed to change.  The replay-smoke
-   alias runs the batched and per-cell paths through this.
+   "trace_cache" member and the top-level "engine" name, the only
+   fields the timing engine and the cache state are allowed to change.
+   The memo-smoke alias runs a warm replay against the execute oracle
+   through this.
 
    [--prom] validates Prometheus text exposition format 0.0.4, as
    scraped from `GET /metrics` (the serve-smoke alias saves a scrape
@@ -133,16 +134,19 @@ let rec strip_member name j =
 let check_figures_equal a b =
   let parse path =
     match Rc_obs.Json.of_string (read_file path) with
-    | Ok j -> strip_member "trace_cache" j
+    | Ok (Rc_obs.Json.Obj fields) ->
+        strip_member "trace_cache"
+          (Rc_obs.Json.Obj (List.remove_assoc "engine" fields))
+    | Ok _ -> fail "%s: not a JSON object" path
     | Error m -> fail "%s: not valid JSON: %s" path m
   in
   let ja = Rc_obs.Json.to_string (parse a)
   and jb = Rc_obs.Json.to_string (parse b) in
   if ja <> jb then
-    fail "%s and %s differ beyond trace_cache — the timing-engine path \
-          changed the results"
+    fail "%s and %s differ beyond engine and trace_cache — the timing \
+          engine changed the results"
       a b;
-  Printf.printf "%s == %s (modulo trace_cache)\n" a b
+  Printf.printf "%s == %s (modulo engine and trace_cache)\n" a b
 
 let check_memo_warm path =
   let j =

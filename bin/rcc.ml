@@ -224,12 +224,6 @@ let store_max_bytes_arg =
     & opt (some (pos_int ~what:"--store-max-bytes")) None
     & info [ "store-max-bytes" ] ~docv:"BYTES" ~doc)
 
-let no_timing_memo_arg =
-  let doc =
-    "Disable the superblock timing memo inside trace replay (DESIGN.md      Â§18).  An escape hatch for debugging and A/B timing: results are      byte-identical either way, the memo is just faster on loop-heavy      sweeps."
-  in
-  Arg.(value & flag & info [ "no-timing-memo" ] ~doc)
-
 let open_store store_dir store_max_bytes =
   Option.map
     (fun dir ->
@@ -237,44 +231,26 @@ let open_store store_dir store_max_bytes =
         ?max_bytes:store_max_bytes ())
     store_dir
 
-let trace_key (c : Rc_harness.Pipeline.compiled) =
-  Rc_isa.Image.fingerprint c.Rc_harness.Pipeline.image
-  ^ "#"
-  ^ Rc_harness.Experiments.semantic_key c.Rc_harness.Pipeline.opts
+let attach_store ctx =
+  Option.iter (fun st ->
+      Rc_harness.Experiments.set_store ctx ~probe:(Rc_serve.Store.probe st)
+        ~publish:(Rc_serve.Store.publish st))
 
-(** Single-shot engine dispatch for $(b,run): with no cache to hit,
-    [auto] executes; [replay] demonstrates the engine end to end by
-    recording and re-timing the same configuration.  With a [store],
-    every non-[execute] engine probes it first (a hit replays without
-    executing at all) and publishes what it records.  Returns the
-    result and the engine that actually produced it. *)
-let simulate_single ?store engine (c : Rc_harness.Pipeline.compiled) =
-  let safe () =
-    Rc_machine.Trace_replay.replay_safe
-      (Rc_harness.Pipeline.machine_config c.Rc_harness.Pipeline.opts)
-  in
-  match (engine, store) with
-  | Rc_harness.Experiments.Execute, _ ->
-      (Rc_harness.Pipeline.simulate c, "execute")
-  | (Rc_harness.Experiments.Auto | Rc_harness.Experiments.Replay), Some st
-    when safe () -> (
-      let key = trace_key c in
-      match Rc_serve.Store.probe st key with
-      | Some tr -> (Rc_harness.Pipeline.simulate_replayed c tr, "replay")
-      | None -> (
-          match Rc_harness.Pipeline.simulate_recorded c with
-          | r, None -> (r, "execute")
-          | r, Some tr ->
-              Rc_serve.Store.publish st key tr;
-              (r, "execute")))
-  | Rc_harness.Experiments.Auto, _ ->
-      (Rc_harness.Pipeline.simulate c, "execute")
-  | Rc_harness.Experiments.Replay, _ -> (
-      if not (safe ()) then (Rc_harness.Pipeline.simulate c, "execute")
-      else
-        match Rc_harness.Pipeline.simulate_recorded c with
-        | r, None -> (r, "execute")
-        | _, Some tr -> (Rc_harness.Pipeline.simulate_replayed c tr, "replay"))
+(** One-shot timing for $(b,run): the harness's trace-cache policy on a
+    single-domain context with the [store] attached.  Without a store,
+    [replay] times the configuration twice — record, then re-time — to
+    show the engine end to end.  Returns the result and the engine that
+    produced it. *)
+let simulate_one ?store ~scale engine (c : Rc_harness.Pipeline.compiled) =
+  let ctx = Rc_harness.Experiments.create ~scale ~jobs:1 ~engine () in
+  attach_store ctx store;
+  Fun.protect
+    ~finally:(fun () -> Rc_harness.Experiments.shutdown ctx)
+    (fun () ->
+      let first = Rc_harness.Experiments.simulate_cell ctx c in
+      if engine = Rc_harness.Experiments.Replay && store = None then
+        Rc_harness.Experiments.simulate_cell ctx c
+      else first)
 
 (* CLI knobs to pipeline options — shared with the server's /run
    decoder so both front ends apply identical defaults. *)
@@ -400,7 +376,7 @@ let run_cmd =
             1
         | Ok orc ->
             let store = open_store store_dir store_max_bytes in
-            let r, engine_used = simulate_single ?store engine c in
+            let r, engine_used = simulate_one ?store ~scale engine c in
             (match store with
             | None -> ()
             | Some st ->
@@ -526,15 +502,6 @@ let list_ids_flag =
   let doc = "List the known experiment ids and exit." in
   Arg.(value & flag & info [ "list-ids" ] ~doc)
 
-let per_cell_flag =
-  let doc =
-    "Bypass the batching prefetch: time every cell through the per-cell \
-     engine policy instead of grouping cells that share a compiled image \
-     into one recording plus one batched replay pass.  A debugging switch — \
-     tables are byte-identical either way, batching is just faster."
-  in
-  Arg.(value & flag & info [ "per-cell" ] ~doc)
-
 let all_figure_ids = Rc_serve.Payload.all_figure_ids
 
 (* The cold-cache stderr note prints at most once per process, however
@@ -542,8 +509,7 @@ let all_figure_ids = Rc_serve.Payload.all_figure_ids
 let cold_note_printed = ref false
 
 let figures_cmd =
-  let run ids scale jobs engine per_cell store_dir store_max_bytes
-      no_timing_memo json list_ids =
+  let run ids scale jobs engine store_dir store_max_bytes json list_ids =
     if list_ids then begin
       List.iter (fun id -> Fmt.pr "%s@." id) all_figure_ids;
       0
@@ -557,17 +523,9 @@ let figures_cmd =
           Fmt.epr "rcc figures: unknown experiment %s@." unknown;
           2
       | [] ->
-          let ctx =
-            Rc_harness.Experiments.create ~scale ~jobs ~engine
-              ~batch:(not per_cell) ~timing_memo:(not no_timing_memo) ()
-          in
+          let ctx = Rc_harness.Experiments.create ~scale ~jobs ~engine () in
           let store = open_store store_dir store_max_bytes in
-          (match store with
-          | None -> ()
-          | Some st ->
-              Rc_harness.Experiments.set_store ctx
-                ~probe:(Rc_serve.Store.probe st)
-                ~publish:(Rc_serve.Store.publish st));
+          attach_store ctx store;
           Fun.protect
             ~finally:(fun () -> Rc_harness.Experiments.shutdown ctx)
             (fun () ->
@@ -596,13 +554,12 @@ let figures_cmd =
                    engines and jobs counts. *)
                 Fmt.epr
                   "engine %s: %d replayed (%d from store), %d executed (%d \
-                   traces recorded, %d not replay-safe, %d trace bytes)@."
+                   traces recorded, %d trace bytes)@."
                   (Rc_harness.Experiments.engine_name engine)
                   es.Rc_harness.Experiments.hits
                   es.Rc_harness.Experiments.store_hits
                   es.Rc_harness.Experiments.misses
                   es.Rc_harness.Experiments.recorded
-                  es.Rc_harness.Experiments.unsafe
                   es.Rc_harness.Experiments.bytes;
                 if
                   es.Rc_harness.Experiments.seg_hits > 0
@@ -660,8 +617,7 @@ let figures_cmd =
           every engine and jobs count")
     Term.(
       const run $ figures_ids $ scale $ figures_jobs $ engine_arg
-      $ per_cell_flag $ store_dir_arg $ store_max_bytes_arg
-      $ no_timing_memo_arg $ json_flag $ list_ids_flag)
+      $ store_dir_arg $ store_max_bytes_arg $ json_flag $ list_ids_flag)
 
 (* --- serve ------------------------------------------------------------------ *)
 

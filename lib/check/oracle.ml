@@ -187,13 +187,7 @@ let compile_checked ?sabotage (opts : Pipeline.options) (prep : prep) =
       Error
         (Report.v ~kind:"exec-error" ~stage:"pipeline" ~field:"compile" msg)
 
-(** The machine configuration {!Rc_harness.Pipeline.simulate} would
-    build for [opts] — shared here so `rcc check` and the fuzzer drive
+(** The machine configuration {!Rc_harness.Pipeline.simulate} builds
+    for [opts] — named here so `rcc check` and the fuzzer drive
     {!Lockstep.run} under exactly the simulated configuration. *)
-let config_of_options (opts : Pipeline.options) =
-  let ifile, ffile = Pipeline.files opts in
-  Rc_machine.Config.v ~issue:opts.Pipeline.issue
-    ~mem_channels:opts.Pipeline.mem_channels ~lat:opts.Pipeline.lat ~ifile
-    ~ffile ~model:opts.Pipeline.model
-    ?connect_dispatch:opts.Pipeline.connect_dispatch
-    ~extra_stage:opts.Pipeline.extra_stage ()
+let config_of_options = Pipeline.machine_config

@@ -27,11 +27,11 @@ type cell = {
 }
 
 (** How cells are timed.  [Execute] always runs the execution-driven
-    simulator.  [Replay] records a dynamic trace on the first sight of
-    each compiled image and re-times every later sighting by trace
-    replay.  [Auto] (the default) is memory-thriftier: it records only
-    on an image's {e second} sighting, so images simulated once — the
-    common case for a single figure — never hold a trace. *)
+    simulator.  [Replay] and [Auto] time cells through the trace cache
+    ({!time_group}); a single cell simulated outside a figure records
+    its trace on its first sighting under [Replay], and only on its
+    second under [Auto] (the default), so images simulated once never
+    hold a trace. *)
 type engine = Execute | Replay | Auto
 
 let engine_name = function
@@ -46,10 +46,10 @@ let engine_of_string = function
   | _ -> None
 
 (** Trace-cache counters: every simulated cell increments exactly one
-    of [hits] (timed by replaying a cached trace), [misses]
-    (replay-eligible but executed) or [unsafe] (not replay-safe, forced
-    execution); [recorded]/[bytes] count the resident traces.  Under
-    [Execute] everything lands in [misses]. *)
+    of [hits] (timed by replaying a cached trace) or [misses]
+    (executed); [recorded]/[bytes] count the resident traces.  Under
+    [Execute] everything lands in [misses].  [unsafe] always reads 0:
+    every cell the harness builds is replay-safe (no trap handler). *)
 type engine_stats = {
   hits : int;
   misses : int;
@@ -81,12 +81,6 @@ type store_hooks = {
 type ctx = {
   scale : int;
   engine : engine;
-  batch : bool;
-      (** pre-group replay-safe cells sharing a trace key and re-time
-          each group in one {!Rc_machine.Trace_replay.replay_batch}
-          pass before the table fan-out (the default); [false] forces
-          the per-cell engine path — the [--per-cell] debugging and
-          equivalence-smoke switch *)
   pool : Rc_par.Pool.t;
   (* Domain-safe single-flight memo tables: any worker may ask for any
      cell, but each program is compiled and each configuration simulated
@@ -102,13 +96,9 @@ type ctx = {
   traces : (string, trace_slot) Hashtbl.t;
   traces_mu : Mutex.t;
   mutable store : store_hooks option;
-  timing_memo : bool;
-      (** superblock timing memo inside every replay (default true);
-          the [--no-timing-memo] escape hatch clears it *)
   mutable s_hits : int;
   mutable s_misses : int;
   mutable s_recorded : int;
-  mutable s_unsafe : int;
   mutable s_bytes : int;
   mutable s_store_hits : int;
   mutable s_seg_hits : int;
@@ -117,13 +107,10 @@ type ctx = {
   mutable s_memo_bytes : int;
 }
 
-let create ?(scale = 1) ?(jobs = 1) ?(engine = Auto) ?(batch = true)
-    ?(timing_memo = true) () =
+let create ?(scale = 1) ?(jobs = 1) ?(engine = Auto) () =
   {
     scale;
     engine;
-    batch;
-    timing_memo;
     pool = Rc_par.Pool.create ~jobs;
     prepared = Rc_par.Memo.create 32;
     allocs = Rc_par.Memo.create 128;
@@ -135,7 +122,6 @@ let create ?(scale = 1) ?(jobs = 1) ?(engine = Auto) ?(batch = true)
     s_hits = 0;
     s_misses = 0;
     s_recorded = 0;
-    s_unsafe = 0;
     s_bytes = 0;
     s_store_hits = 0;
     s_seg_hits = 0;
@@ -155,7 +141,7 @@ let engine_stats ctx =
         hits = ctx.s_hits;
         misses = ctx.s_misses;
         recorded = ctx.s_recorded;
-        unsafe = ctx.s_unsafe;
+        unsafe = 0;
         bytes = ctx.s_bytes;
         store_hits = ctx.s_store_hits;
         seg_hits = ctx.s_seg_hits;
@@ -262,6 +248,9 @@ let semantic_key (o : Pipeline.options) =
     o.Pipeline.core_int o.Pipeline.core_float o.Pipeline.total_int
     o.Pipeline.total_float
 
+let trace_key (c : Pipeline.compiled) =
+  Rc_isa.Image.fingerprint c.Pipeline.image ^ "#" ^ semantic_key c.Pipeline.opts
+
 (* Fold one replay call's memo counters into the context. *)
 let fold_memo ctx (m : Rc_machine.Trace_replay.memo_stats) =
   Mutex.protect ctx.traces_mu (fun () ->
@@ -271,96 +260,75 @@ let fold_memo ctx (m : Rc_machine.Trace_replay.memo_stats) =
         ctx.s_seg_fallbacks + m.Rc_machine.Trace_replay.m_fallbacks;
       ctx.s_memo_bytes <- ctx.s_memo_bytes + m.Rc_machine.Trace_replay.m_bytes)
 
-(* Every replay the harness runs goes through these two wrappers, so
-   the timing-memo switch and counters apply uniformly. *)
-let replay_cell ctx c tr =
-  let ms = Rc_machine.Trace_replay.memo_stats () in
-  let r = Pipeline.simulate_replayed ~memo:ctx.timing_memo ~stats:ms c tr in
-  fold_memo ctx ms;
-  r
-
-let replay_batch_cells ctx cs tr =
-  let ms = Rc_machine.Trace_replay.memo_stats () in
-  let rs = Pipeline.simulate_replay_batch ~memo:ctx.timing_memo ~stats:ms cs tr in
-  fold_memo ctx ms;
-  rs
-
-(** Time one compiled cell under the context's engine: replay a cached
-    trace when the image was seen before, otherwise execute (recording
-    per the engine's policy).  Also reports which engine produced the
-    result — ["execute"] or ["replay"] — for callers (the server's
-    [/run] endpoint) that surface it. *)
-let simulate_engine ctx (c : Pipeline.compiled) =
-  let bump_miss () =
+(** The trace-cache policy, the one place that decides how cells are
+    timed: [time_group ctx ~reuse key c0 rest] times the group
+    [c0 :: rest] of compiled cells sharing trace key [key] and returns
+    their results in order, plus whether [c0] was replayed.  A trace
+    for [key] in memory or in the store replays the whole group in one
+    batched pass.  Otherwise the leader [c0] executes, recording its
+    trace when it will pay off — other members to re-time, a key seen
+    before, a store to publish to, or a caller that [reuse]s cells —
+    and merely noting the sighting when none holds.  Replay reproduces
+    execution exactly (DESIGN.md §14), so the policy moves counters,
+    never a result. *)
+let time_group ctx ~reuse key c0 rest =
+  let hits n =
+    Mutex.protect ctx.traces_mu (fun () -> ctx.s_hits <- ctx.s_hits + n)
+  in
+  let miss () =
     Mutex.protect ctx.traces_mu (fun () -> ctx.s_misses <- ctx.s_misses + 1)
   in
-  match ctx.engine with
-  | Execute ->
-      bump_miss ();
-      (Pipeline.simulate c, "execute")
-  | Replay | Auto ->
-      if
-        not
-          (Rc_machine.Trace_replay.replay_safe
-             (Pipeline.machine_config c.Pipeline.opts))
-      then begin
-        Mutex.protect ctx.traces_mu (fun () ->
-            ctx.s_unsafe <- ctx.s_unsafe + 1);
-        (Pipeline.simulate c, "execute")
-      end
-      else begin
-        let key =
-          Rc_isa.Image.fingerprint c.Pipeline.image
-          ^ "#"
-          ^ semantic_key c.Pipeline.opts
-        in
-        let mem =
+  let replay cs tr =
+    hits (List.length cs);
+    let ms = Rc_machine.Trace_replay.memo_stats () in
+    let rs = Pipeline.simulate_replay_batch ~stats:ms cs tr in
+    fold_memo ctx ms;
+    rs
+  in
+  let cached =
+    Mutex.protect ctx.traces_mu (fun () -> Hashtbl.find_opt ctx.traces key)
+  in
+  (* an in-memory miss: a sibling process may have recorded the key
+     already, so probe the store before paying for an execution *)
+  let trace =
+    match cached with
+    | Some (Recorded tr) -> Some tr
+    | Some Seen_once | None -> store_probe ctx key
+  in
+  match trace with
+  | Some tr -> (replay (c0 :: rest) tr, true)
+  | None
+    when rest = [] && Option.is_none cached && Option.is_none ctx.store
+         && not reuse ->
+      miss ();
+      Mutex.protect ctx.traces_mu (fun () ->
+          if not (Hashtbl.mem ctx.traces key) then
+            Hashtbl.replace ctx.traces key Seen_once);
+      ([ Pipeline.simulate c0 ], false)
+  | None -> (
+      miss ();
+      let r0, tr = Pipeline.simulate_recorded c0 in
+      match tr with
+      | None ->
+          (* unreplayable after all (overflowed the packed layout):
+             execute the rest too *)
+          ( r0
+            :: List.map
+                 (fun c ->
+                   miss ();
+                   Pipeline.simulate c)
+                 rest,
+            false )
+      | Some tr ->
           Mutex.protect ctx.traces_mu (fun () ->
               match Hashtbl.find_opt ctx.traces key with
-              | Some (Recorded tr) ->
-                  ctx.s_hits <- ctx.s_hits + 1;
-                  `Hit tr
-              | Some Seen_once -> `Seen
-              | None -> `Cold)
-        in
-        let action =
-          match mem with
-          | `Hit tr -> `Replay tr
-          | (`Seen | `Cold) as m -> (
-              (* in-memory miss: a sibling process may have recorded
-                 this key already — probe the store before paying for
-                 an execution *)
-              match store_probe ctx key with
-              | Some tr ->
-                  Mutex.protect ctx.traces_mu (fun () ->
-                      ctx.s_hits <- ctx.s_hits + 1);
-                  `Replay tr
-              | None ->
-                  Mutex.protect ctx.traces_mu (fun () ->
-                      ctx.s_misses <- ctx.s_misses + 1;
-                      if m = `Cold && ctx.engine <> Replay then
-                        Hashtbl.replace ctx.traces key Seen_once);
-                  if m = `Seen || ctx.engine = Replay then `Record
-                  else `Execute)
-        in
-        match action with
-        | `Replay tr -> (replay_cell ctx c tr, "replay")
-        | `Execute -> (Pipeline.simulate c, "execute")
-        | `Record ->
-            let r, tr = Pipeline.simulate_recorded c in
-            (match tr with
-            | None -> () (* unreplayable after all; keep executing *)
-            | Some tr ->
-                Mutex.protect ctx.traces_mu (fun () ->
-                    match Hashtbl.find_opt ctx.traces key with
-                    | Some (Recorded _) -> () (* a racing worker won *)
-                    | _ ->
-                        Hashtbl.replace ctx.traces key (Recorded tr);
-                        ctx.s_recorded <- ctx.s_recorded + 1;
-                        ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
-                store_publish ctx key tr);
-            (r, "execute")
-      end
+              | Some (Recorded _) -> () (* a racing worker won *)
+              | Some Seen_once | None ->
+                  Hashtbl.replace ctx.traces key (Recorded tr);
+                  ctx.s_recorded <- ctx.s_recorded + 1;
+                  ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
+          store_publish ctx key tr;
+          (r0 :: (if rest = [] then [] else replay rest tr), false))
 
 (** The compile side of {!run_cell}: prepare/allocate through the
     context's memo tables (warm across calls), then the cheap
@@ -372,9 +340,26 @@ let compile_cell ctx (b : Wutil.bench) (opts : Pipeline.options) =
     the engine, so a repeated configuration is re-timed through the
     trace cache (and reports a cache hit) instead of being served from
     the cell memo.  This is the server's [/run] path. *)
-let simulate_cell ctx (c : Pipeline.compiled) = simulate_engine ctx c
+let simulate_cell ctx (c : Pipeline.compiled) =
+  match ctx.engine with
+  | Execute ->
+      Mutex.protect ctx.traces_mu (fun () -> ctx.s_misses <- ctx.s_misses + 1);
+      (Pipeline.simulate c, "execute")
+  | Replay | Auto -> (
+      let rs, replayed =
+        time_group ctx ~reuse:(ctx.engine = Replay) (trace_key c) c []
+      in
+      (List.hd rs, if replayed then "replay" else "execute"))
 
 let run_key (b : Wutil.bench) opts = b.Wutil.name ^ "#" ^ opts_key opts
+
+let cell_of (c : Pipeline.compiled) r =
+  {
+    c_result = r;
+    c_breakdown = c.Pipeline.breakdown;
+    c_spills = c.Pipeline.spills;
+    c_passes = c.Pipeline.passes;
+  }
 
 (** Compile and simulate one benchmark under one configuration
     (memoised), returning the full telemetry cell. *)
@@ -382,13 +367,7 @@ let run_cell ctx (b : Wutil.bench) (opts : Pipeline.options) =
   let key = run_key b opts in
   Rc_par.Memo.find_or_compute ctx.runs key (fun () ->
       let c = compile_cell ctx b opts in
-      let r, _engine_used = simulate_engine ctx c in
-      {
-        c_result = r;
-        c_breakdown = c.Pipeline.breakdown;
-        c_spills = c.Pipeline.spills;
-        c_passes = c.Pipeline.passes;
-      })
+      cell_of c (fst (simulate_cell ctx c)))
 
 (** Compile and simulate one benchmark under one configuration
     (memoised). *)
@@ -451,9 +430,6 @@ let small_label (b : Wutil.bench) =
 
 (* --- batched prefetch --------------------------------------------------- *)
 
-let trace_key (c : Pipeline.compiled) =
-  Rc_isa.Image.fingerprint c.Pipeline.image ^ "#" ^ semantic_key c.Pipeline.opts
-
 (** Publish a prefetched cell under its run-memo key so the table
     thunks find it already simulated.  [find_or_compute] with a
     constant thunk: if a racing caller beat us to the key, both
@@ -461,115 +437,30 @@ let trace_key (c : Pipeline.compiled) =
 let memo_cell ctx b opts (c : Pipeline.compiled) r =
   ignore
     (Rc_par.Memo.find_or_compute ctx.runs (run_key b opts) (fun () ->
-         {
-           c_result = r;
-           c_breakdown = c.Pipeline.breakdown;
-           c_spills = c.Pipeline.spills;
-           c_passes = c.Pipeline.passes;
-         }))
+         cell_of c r))
 
-(** One prefetch unit of work: all compiled cells sharing a trace key
-    (replay-safe), or a single cell that is not replay-safe. *)
-type prefetch_task =
-  | Group of string * (Wutil.bench * Pipeline.options * Pipeline.compiled) list
-  | Unsafe of Wutil.bench * Pipeline.options * Pipeline.compiled
-
-let compiled_of (_, _, c) = c
-
-let run_prefetch_task ctx = function
-  | Unsafe (b, opts, c) ->
-      Mutex.protect ctx.traces_mu (fun () -> ctx.s_unsafe <- ctx.s_unsafe + 1);
-      memo_cell ctx b opts c (Pipeline.simulate c)
-  | Group (key, cells) -> (
-      let cached =
-        Mutex.protect ctx.traces_mu (fun () -> Hashtbl.find_opt ctx.traces key)
+(* One prefetch unit of work: every compiled cell sharing a trace key,
+   timed by one {!time_group} call. *)
+let run_group ctx (key, cells) =
+  match cells with
+  | [] -> ()
+  | (_, _, c0) :: rest ->
+      let rs, _ =
+        time_group ctx ~reuse:false key c0 (List.map (fun (_, _, c) -> c) rest)
       in
-      let replay_all tr =
-        Mutex.protect ctx.traces_mu (fun () ->
-            ctx.s_hits <- ctx.s_hits + List.length cells);
-        let rs = replay_batch_cells ctx (List.map compiled_of cells) tr in
-        List.iter2 (fun (b, opts, c) r -> memo_cell ctx b opts c r) cells rs
-      in
-      match cached with
-      | Some (Recorded tr) ->
-          (* warm cache (an earlier figure recorded this key): the
-             whole group re-times in one pass *)
-          replay_all tr
-      | (None | Some Seen_once) as cached -> (
-          match store_probe ctx key with
-          | Some tr ->
-              (* a sibling process recorded this key: replay the whole
-                 group from the store's copy *)
-              replay_all tr
-          | None -> (
-          match cells with
-          | [ (b, opts, c) ] when cached = None && ctx.store = None ->
-              (* a trace nothing else in this table can replay: record
-                 nothing — recording costs time and residency, and a
-                 singleton can only lose against plain execution.  Note
-                 the sighting so a later table re-seeing the key
-                 records (the Auto policy).  With a store attached the
-                 trade flips — recording costs a few percent once and
-                 every later process replays the cell from disk — so
-                 singletons then take the record-and-publish branch
-                 below. *)
-              Mutex.protect ctx.traces_mu (fun () ->
-                  ctx.s_misses <- ctx.s_misses + 1;
-                  if not (Hashtbl.mem ctx.traces key) then
-                    Hashtbl.replace ctx.traces key Seen_once);
-              memo_cell ctx b opts c (Pipeline.simulate c)
-          | [] -> ()
-          | (b0, o0, c0) :: rest -> (
-              (* a shared trace (or a key re-sighted across tables):
-                 record the leader at near-execute cost, re-time every
-                 other member in one batched pass *)
-              let r0, tr = Pipeline.simulate_recorded c0 in
-              Mutex.protect ctx.traces_mu (fun () ->
-                  ctx.s_misses <- ctx.s_misses + 1);
-              memo_cell ctx b0 o0 c0 r0;
-              match tr with
-              | None ->
-                  (* unreplayable after all (overflowed the packed
-                     layout): fall back to executing the group *)
-                  List.iter
-                    (fun (b, opts, c) ->
-                      Mutex.protect ctx.traces_mu (fun () ->
-                          ctx.s_misses <- ctx.s_misses + 1);
-                      memo_cell ctx b opts c (Pipeline.simulate c))
-                    rest
-              | Some tr ->
-                  Mutex.protect ctx.traces_mu (fun () ->
-                      match Hashtbl.find_opt ctx.traces key with
-                      | Some (Recorded _) -> () (* a racing worker won *)
-                      | _ ->
-                          Hashtbl.replace ctx.traces key (Recorded tr);
-                          ctx.s_recorded <- ctx.s_recorded + 1;
-                          ctx.s_bytes <-
-                            ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
-                  store_publish ctx key tr;
-                  if rest <> [] then begin
-                    Mutex.protect ctx.traces_mu (fun () ->
-                        ctx.s_hits <- ctx.s_hits + List.length rest);
-                    let rs =
-                      replay_batch_cells ctx (List.map compiled_of rest) tr
-                    in
-                    List.iter2
-                      (fun (b, opts, c) r -> memo_cell ctx b opts c r)
-                      rest rs
-                  end))))
+      List.iter2 (fun (b, opts, c) r -> memo_cell ctx b opts c r) cells rs
 
 (** Simulate a table's declared dependencies ahead of its thunk
     fan-out: compile every distinct not-yet-simulated cell (plus each
-    benchmark's base-configuration cell) on the pool, group the
-    replay-safe ones by trace key, and run one {!run_prefetch_task} per
-    group — so K grid cells over one image cost one recording and one
-    batched decode pass instead of K executions.  Inactive under the
-    [Execute] engine or [batch = false]; the thunks then fall through
-    to {!simulate_engine}'s per-cell policy.  Deps are a performance
-    declaration, not a correctness contract: a cell missing from its
-    table's deps is simply simulated per-cell. *)
+    benchmark's base-configuration cell) on the pool, group them by
+    trace key, and time each group with one {!time_group} call — so K
+    grid cells over one image cost one recording and one batched
+    decode pass instead of K executions.  Inactive under the [Execute]
+    engine.  Deps are a performance declaration, not a correctness
+    contract: a cell missing from its table's deps is simply simulated
+    by {!simulate_cell}. *)
 let prefetch ctx (deps : (Wutil.bench * Pipeline.options) list) =
-  if ctx.engine <> Execute && ctx.batch then begin
+  if ctx.engine <> Execute then begin
     let seen = Hashtbl.create 64 in
     let bases = Hashtbl.create 16 in
     let keep acc ((b, opts) as dep) =
@@ -603,29 +494,21 @@ let prefetch ctx (deps : (Wutil.bench * Pipeline.options) list) =
         in
         let groups = Hashtbl.create 64 in
         let order = ref [] in
-        let unsafe = ref [] in
         List.iter
-          (fun ((b, opts, (c : Pipeline.compiled)) as cell) ->
-            if
-              Rc_machine.Trace_replay.replay_safe
-                (Pipeline.machine_config c.Pipeline.opts)
-            then begin
-              let key = trace_key c in
-              match Hashtbl.find_opt groups key with
-              | Some r -> r := cell :: !r
-              | None ->
-                  Hashtbl.add groups key (ref [ cell ]);
-                  order := key :: !order
-            end
-            else unsafe := Unsafe (b, opts, c) :: !unsafe)
+          (fun ((_, _, c) as cell) ->
+            let key = trace_key c in
+            match Hashtbl.find_opt groups key with
+            | Some r -> r := cell :: !r
+            | None ->
+                Hashtbl.add groups key (ref [ cell ]);
+                order := key :: !order)
           compiled;
         let tasks =
           List.rev_map
-            (fun key -> Group (key, List.rev !(Hashtbl.find groups key)))
+            (fun key -> (key, List.rev !(Hashtbl.find groups key)))
             !order
-          @ List.rev !unsafe
         in
-        ignore (Rc_par.Pool.map_cells ctx.pool (run_prefetch_task ctx) tasks)
+        ignore (Rc_par.Pool.map_cells ctx.pool (run_group ctx) tasks)
   end
 
 (* --- parallel fan-out --------------------------------------------------- *)
@@ -645,9 +528,9 @@ let sp_spec ctx b opts =
 (** Evaluate one table's cells on the context's pool: first the batched
     prefetch over every declared dependency, then each cell's thunk,
     flattened in declaration order and reassembled — so the resulting
-    rows are identical for every jobs count, engine and batch setting
-    (cell values are memoised pure computations, and
-    {!Rc_par.Pool.map_cells} collects by index). *)
+    rows are identical for every jobs count and engine (cell values
+    are memoised pure computations, and {!Rc_par.Pool.map_cells}
+    collects by index). *)
 let par_rows ctx (rows : (string * cell_spec list) list) :
     (string * float list) list =
   prefetch ctx
@@ -1255,36 +1138,27 @@ let metrics_json ctx =
 
 (* --- registry ------------------------------------------------------------ *)
 
-let all_figures ctx =
+(* Every experiment under its command-line id, in the paper's order. *)
+let figures =
   [
-    table1 ();
-    fig7 ctx;
-    fig8_int ctx;
-    fig8_fp ctx;
-    fig9_int ctx;
-    fig9_fp ctx;
-    fig10 ctx;
-    fig11 ctx;
-    fig12 ctx;
-    fig13 ctx;
-    ablation_models ctx;
-    ablation_combine ctx;
-    ablation_unroll ctx;
+    ("table1", fun _ -> table1 ());
+    ("fig7", fig7);
+    ("fig8-int", fig8_int);
+    ("fig8-fp", fig8_fp);
+    ("fig9-int", fig9_int);
+    ("fig9-fp", fig9_fp);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fig13);
+    ("ablation-models", ablation_models);
+    ("ablation-combine", ablation_combine);
+    ("ablation-unroll", ablation_unroll);
   ]
 
+let figure_ids = List.map fst figures
+let all_figures ctx = List.map (fun (_, f) -> f ctx) figures
+
 let by_id ctx id =
-  match id with
-  | "table1" -> Some (table1 ())
-  | "fig7" -> Some (fig7 ctx)
-  | "fig8" | "fig8-int" -> Some (fig8_int ctx)
-  | "fig8-fp" -> Some (fig8_fp ctx)
-  | "fig9" | "fig9-int" -> Some (fig9_int ctx)
-  | "fig9-fp" -> Some (fig9_fp ctx)
-  | "fig10" -> Some (fig10 ctx)
-  | "fig11" -> Some (fig11 ctx)
-  | "fig12" -> Some (fig12 ctx)
-  | "fig13" -> Some (fig13 ctx)
-  | "ablation-models" -> Some (ablation_models ctx)
-  | "ablation-combine" -> Some (ablation_combine ctx)
-  | "ablation-unroll" -> Some (ablation_unroll ctx)
-  | _ -> None
+  let id = match id with "fig8" -> "fig8-int" | "fig9" -> "fig9-int" | id -> id in
+  Option.map (fun f -> f ctx) (List.assoc_opt id figures)

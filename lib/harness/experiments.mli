@@ -18,15 +18,17 @@ open Rc_workloads
 type ctx
 
 (** How cells are timed.  [Execute] always runs the execution-driven
-    simulator.  [Replay] and [Auto] time repeated sightings of a
-    compiled image fingerprint by trace replay
-    ({!Rc_machine.Trace_replay}); they differ in the {e per-cell} path
-    (the server's [/run]): [Replay] records on an image's first
-    sighting, [Auto] (the default) only on its second, so images
-    simulated once never hold a trace.  Under the batching prefetch
-    (see {!create}) both engines know every group's size up front and
-    record exactly when a trace will be reused.  All three engines
-    produce byte-identical tables: replay reproduces
+    simulator.  [Replay] and [Auto] time cells through the trace cache
+    under one policy: a cell whose trace key (compiled image
+    fingerprint + {!semantic_key}) has a trace in memory or in the
+    store replays it ({!Rc_machine.Trace_replay}); otherwise it
+    executes, recording its trace when the trace will be reused — a
+    figure's cells sharing the key, a key seen before, or an attached
+    store.  The engines differ only for a single cell timed by
+    {!simulate_cell} (the server's [/run]): [Replay] records on its
+    first sighting, [Auto] (the default) only on its second, so images
+    simulated once never hold a trace.  All three engines produce
+    byte-identical tables: replay reproduces
     {!Rc_machine.Machine.result} exactly. *)
 type engine = Execute | Replay | Auto
 
@@ -34,10 +36,10 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 
 (** Trace-cache counters: every simulated cell increments exactly one
-    of [hits] (timed by replaying a cached trace), [misses]
-    (replay-eligible but executed) or [unsafe] (not replay-safe, forced
-    execution); [recorded]/[bytes] count the resident traces.  Under
-    [Execute] everything lands in [misses]. *)
+    of [hits] (timed by replaying a cached trace) or [misses]
+    (executed); [recorded]/[bytes] count the resident traces.  Under
+    [Execute] everything lands in [misses].  [unsafe] always reads 0:
+    every cell the harness builds is replay-safe. *)
 type engine_stats = {
   hits : int;
   misses : int;
@@ -53,25 +55,12 @@ type engine_stats = {
   memo_bytes : int;  (** cumulative approximate memo-table footprint *)
 }
 
-(** [batch] (default [true]) enables the batching prefetch: before a
-    table's thunk fan-out, its declared cells are compiled, the
-    replay-safe ones grouped by trace key (image fingerprint + semantic
-    knobs), and each group timed by one recording plus one
-    {!Rc_machine.Trace_replay.replay_batch} pass — groups of one
-    execute directly, recording nothing.  [batch:false] forces the
-    per-cell engine policy for every cell (the [--per-cell] debugging
-    switch).  [timing_memo] (default [true]) enables the superblock
-    timing memo inside every replay ({!Rc_machine.Trace_replay});
-    [timing_memo:false] is the [--no-timing-memo] escape hatch.
-    Tables are byte-identical either way. *)
-val create :
-  ?scale:int ->
-  ?jobs:int ->
-  ?engine:engine ->
-  ?batch:bool ->
-  ?timing_memo:bool ->
-  unit ->
-  ctx
+(** Under [Replay] and [Auto] every table first compiles its declared
+    cells, groups them by trace key and times each group by one
+    recording plus one {!Rc_machine.Trace_replay.replay_batch} pass;
+    a group of one executes without recording unless its key was seen
+    before or a store is attached. *)
+val create : ?scale:int -> ?jobs:int -> ?engine:engine -> unit -> ctx
 
 (** Number of computing domains of the context's pool. *)
 val jobs : ctx -> int
@@ -104,9 +93,9 @@ val export_metrics : ctx -> Rc_obs.Metrics.t -> unit
     trace-cache miss {e before} deciding to execute or record — a hit
     replays (and counts as a cache hit — and a [store_hits] — installing
     the trace in memory); [publish key trace] is offered every freshly
-    recorded trace.  With a store attached, batched prefetch groups of
-    one also record and publish (instead of executing trace-less), so a
-    warmed store lets later processes replay every replay-safe cell.
+    recorded trace.  With a store attached every executed cell records
+    and publishes, so a warmed store lets later processes replay every
+    cell.
     Both are called outside the cache mutex and may do disk IO; they
     must be safe to call from any pool domain. *)
 val set_store :
@@ -253,6 +242,12 @@ val fig13 : ctx -> table
 val ablation_models : ctx -> table
 val ablation_combine : ctx -> table
 val ablation_unroll : ctx -> table
+
+(** Every experiment id, in the paper's order: "table1", "fig7",
+    "fig8-int", ..., "ablation-unroll". *)
+val figure_ids : string list
+
+(** Every experiment, in {!figure_ids} order. *)
 val all_figures : ctx -> table list
 
 (** Figure-8/9-style sweeps (speedup and code-size vs core registers)
@@ -265,6 +260,6 @@ val all_figures : ctx -> table list
     an attached store serves both. *)
 val kernel_figures : ctx -> Wutil.bench -> table list
 
-(** Look an experiment up by its command-line id ("fig8-int",
-    "ablation-models", ...). *)
+(** Look an experiment up by its command-line id (one of
+    {!figure_ids}, or "fig8"/"fig9" for their integer halves). *)
 val by_id : ctx -> string -> table option

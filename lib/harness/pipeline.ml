@@ -26,8 +26,6 @@ type options = {
   total_float : int;  (** floating-point physical file size when [rc] *)
   model : Rc_core.Model.t;
   combine : bool;  (** multiple-connect instructions *)
-  connect_dispatch : [ `Shared | `Extra of int ] option;
-      (** forwarded to {!Rc_machine.Config}; [None] = machine default *)
   issue : int;
   mem_channels : int;
   lat : Latency.t;
@@ -43,8 +41,7 @@ let min_core = function Reg.Int -> Reg.first_alloc_int | Reg.Float -> 4
 
 let options ?(opt = Rc_opt.Pass.Ilp Rc_opt.Pass.default_unroll) ?(rc = false)
     ?(core_int = 32) ?(core_float = 32) ?total_int ?total_float
-    ?(model = Rc_core.Model.default) ?(combine = true) ?connect_dispatch
-    ?(issue = 4) ?mem_channels ?(lat = Latency.default) ?(extra_stage = false)
+    ?(model = Rc_core.Model.default) ?(combine = true) ?(issue = 4) ?mem_channels ?(lat = Latency.default) ?(extra_stage = false)
     () =
   if issue < 1 then invalid_arg "Pipeline.options: issue < 1";
   let bound name cls n =
@@ -74,7 +71,6 @@ let options ?(opt = Rc_opt.Pass.Ilp Rc_opt.Pass.default_unroll) ?(rc = false)
     total_float;
     model;
     combine;
-    connect_dispatch;
     issue;
     mem_channels;
     lat;
@@ -189,7 +185,7 @@ type allocated = {
 
 (** The slice of [options] that register allocation and lowering depend
     on.  The timing knobs — issue rate, memory channels, load latency,
-    extra stage, connect dispatch — and the connect-insertion knobs
+    extra stage — and the connect-insertion knobs
     (model, combine) do {e not} appear: an {!allocate} result can be
     shared across all of them.  Connect latency appears only through
     the allocator's [aggressive_extended] policy switch. *)
@@ -298,8 +294,8 @@ let compile opts (prog : Prog.t) =
 let machine_config (opts : options) =
   let ifile, ffile = files opts in
   Rc_machine.Config.v ~issue:opts.issue ~mem_channels:opts.mem_channels
-    ~lat:opts.lat ~ifile ~ffile ~model:opts.model
-    ?connect_dispatch:opts.connect_dispatch ~extra_stage:opts.extra_stage ()
+    ~lat:opts.lat ~ifile ~ffile ~model:opts.model ~extra_stage:opts.extra_stage
+    ()
 
 let check_output name (r : Rc_machine.Machine.result) (c : compiled) =
   if r.Rc_machine.Machine.output <> c.expected.Rc_interp.Interp.output then
@@ -340,8 +336,7 @@ let simulate_replayed ?(verify = true) ?memo ?stats (c : compiled) trace =
     pass over the trace ({!Rc_machine.Trace_replay.replay_batch}).  All
     compilations must share the image fingerprint and semantic knobs
     the trace was recorded under; their timing knobs are free. *)
-let simulate_replay_batch ?(verify = true) ?memo ?stats (cs : compiled list)
-    trace =
+let simulate_replay_batch ?(verify = true) ?stats (cs : compiled list) trace =
   match cs with
   | [] -> []
   | c0 :: _ ->
@@ -349,7 +344,7 @@ let simulate_replay_batch ?(verify = true) ?memo ?stats (cs : compiled list)
         Array.of_list (List.map (fun c -> machine_config c.opts) cs)
       in
       let rs =
-        Rc_machine.Trace_replay.replay_batch ?memo ?stats cfgs c0.image trace
+        Rc_machine.Trace_replay.replay_batch ?stats cfgs c0.image trace
       in
       List.mapi
         (fun i c ->

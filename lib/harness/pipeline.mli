@@ -20,8 +20,6 @@ type options = {
   total_float : int;  (** floating-point physical file size when [rc] *)
   model : Rc_core.Model.t;
   combine : bool;  (** multiple-connect instructions *)
-  connect_dispatch : [ `Shared | `Extra of int ] option;
-      (** forwarded to {!Rc_machine.Config}; [None] = machine default *)
   issue : int;
   mem_channels : int;
   lat : Latency.t;
@@ -51,7 +49,6 @@ val options :
   ?total_float:int ->
   ?model:Rc_core.Model.t ->
   ?combine:bool ->
-  ?connect_dispatch:[ `Shared | `Extra of int ] ->
   ?issue:int ->
   ?mem_channels:int ->
   ?lat:Latency.t ->
@@ -135,7 +132,7 @@ type allocated = {
     register files and the allocator's connect-latency policy.  Equal
     keys (for the same prepared program) mean interchangeable
     {!allocate} results; issue rate, memory channels, load latency,
-    model, combine, extra stage and connect dispatch do not appear. *)
+    model, combine and extra stage do not appear. *)
 val alloc_key : options -> string
 
 (** Register-allocate and lower a prepared program (the "regalloc" and
@@ -205,7 +202,6 @@ val simulate_replayed :
     @raise Invalid_argument on a verification mismatch. *)
 val simulate_replay_batch :
   ?verify:bool ->
-  ?memo:bool ->
   ?stats:Rc_machine.Trace_replay.memo_stats ->
   compiled list ->
   Rc_machine.Dtrace.t ->

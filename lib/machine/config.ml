@@ -15,12 +15,6 @@ type t = {
   ifile : Reg.file;
   ffile : Reg.file;
   model : Rc_core.Model.t;
-  connect_dispatch : [ `Shared | `Extra of int ];
-      (** how connects consume front-end bandwidth: [`Shared] makes them
-          compete for regular issue slots; [`Extra n] gives the dispatch
-          logic its own budget of [n] connects per cycle (they update the
-          mapping table at dispatch, not in a function unit; section
-          2.4) *)
   extra_stage : bool;
       (** an extra pipeline stage for mapping-table access: taken-branch
           redirects cost one additional cycle (Figure 12 scenarios) *)
@@ -32,17 +26,14 @@ let default_mem_channels issue = if issue >= 8 then 4 else 2
 
 let v ?(issue = 4) ?mem_channels ?(lat = Latency.default)
     ?(ifile = Reg.core_only 32) ?(ffile = Reg.core_only 32)
-    ?(model = Rc_core.Model.default) ?connect_dispatch ?(extra_stage = false)
-    ?trap_handler ?(fuel = 1_000_000_000) () =
+    ?(model = Rc_core.Model.default) ?(extra_stage = false) ?trap_handler
+    ?(fuel = 1_000_000_000) () =
   if issue < 1 then invalid_arg "Config.v: issue < 1";
   let mem_channels =
     match mem_channels with Some m -> m | None -> default_mem_channels issue
   in
   if mem_channels < 1 then invalid_arg "Config.v: mem_channels < 1";
   if fuel < 1 then invalid_arg "Config.v: fuel < 1";
-  let connect_dispatch =
-    match connect_dispatch with Some c -> c | None -> `Extra issue
-  in
   {
     issue;
     mem_channels;
@@ -50,7 +41,6 @@ let v ?(issue = 4) ?mem_channels ?(lat = Latency.default)
     ifile;
     ffile;
     model;
-    connect_dispatch;
     extra_stage;
     trap_handler;
     fuel;

@@ -15,12 +15,6 @@ type t = {
   ifile : Reg.file;
   ffile : Reg.file;
   model : Rc_core.Model.t;
-  connect_dispatch : [ `Shared | `Extra of int ];
-      (** how connects consume front-end bandwidth: [`Shared] makes them
-          compete for regular issue slots; [`Extra n] gives the dispatch
-          logic its own budget of [n] connects per cycle (they update
-          the mapping table at dispatch, not in a function unit;
-          section 2.4) *)
   extra_stage : bool;
       (** an extra pipeline stage for mapping-table access: mispredicted
           branches cost one additional cycle (Figure 12 scenarios) *)
@@ -31,7 +25,9 @@ type t = {
 (** 2 channels below 8-issue, 4 at 8-issue (paper section 5.2). *)
 val default_mem_channels : int -> int
 
-(** [connect_dispatch] defaults to [`Extra issue].
+(** Connects dispatch through their own budget of [issue] per cycle:
+    they update the mapping table at dispatch, not in a function unit
+    (section 2.4), so they never take an issue slot.
     @raise Invalid_argument when [issue], [mem_channels] or [fuel] is
     below 1. *)
 val v :
@@ -41,7 +37,6 @@ val v :
   ?ifile:Reg.file ->
   ?ffile:Reg.file ->
   ?model:Rc_core.Model.t ->
-  ?connect_dispatch:[ `Shared | `Extra of int ] ->
   ?extra_stage:bool ->
   ?trap_handler:string ->
   ?fuel:int ->

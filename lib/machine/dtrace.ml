@@ -2,8 +2,8 @@
 
     On an in-order machine with deterministic latencies, the timing
     knobs of a {!Config.t} (issue rate, memory channels, load and
-    connect latency, extra pipeline stage, connect dispatch budget)
-    cannot change the dynamic instruction stream — only its timing.  One
+    connect latency, extra pipeline stage) cannot change the dynamic
+    instruction stream — only its timing.  One
     execution-driven run therefore records, per dynamic instruction, the
     few facts timing depends on that are not static in the code image:
 
@@ -35,13 +35,13 @@
 
     {!Trace_replay} streams entries back through a {!cursor} (no array
     is ever materialised) and re-runs the issue/scoreboard/channel/
-    redirect accounting under any replay-safe configuration,
-    reproducing {!Machine.result} exactly.
+    redirect accounting under any configuration with the same semantic
+    knobs, reproducing {!Machine.result} exactly.
 
     A trace is only valid for the image it was recorded from (same code,
     data and entry) under the same functional semantics (reset model,
     register file shapes, no traps or interrupts) — see
-    {!Trace_replay.replay_safe} and DESIGN.md §14. *)
+    {!Trace_replay.record} and DESIGN.md §14. *)
 
 (* Decoded (in-flight) entry layout, low to high:
    bit  0        branch taken

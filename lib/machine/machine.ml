@@ -131,9 +131,7 @@ module Timing = struct
         (** map entries touched by connects issued this cycle *)
     mutable cycle : int;  (** [stats.cycles] when the open cycle began *)
     mutable halted : bool;
-    issue : int;
-    budget : int;  (** per-cycle connect dispatch budget; 0 when shared *)
-    shared : bool;
+    issue : int;  (** issue slots, and connect-dispatch slots, per cycle *)
     channels : int;
     connect_lat : int;
     penalty : int;
@@ -144,9 +142,6 @@ module Timing = struct
   }
 
   let create ?(log_writes = false) (cfg : Config.t) =
-    let budget =
-      match cfg.Config.connect_dispatch with `Shared -> 0 | `Extra b -> b
-    in
     {
       stats =
         {
@@ -169,14 +164,12 @@ module Timing = struct
       iready = Array.make cfg.Config.ifile.Reg.total 0;
       fready = Array.make cfg.Config.ffile.Reg.total 0;
       slots = cfg.Config.issue;
-      cslots = budget;
+      cslots = cfg.Config.issue;
       mem_free = cfg.Config.mem_channels;
       pending = [];
       cycle = 0;
       halted = false;
       issue = cfg.Config.issue;
-      budget;
-      shared = cfg.Config.connect_dispatch = `Shared;
       channels = cfg.Config.mem_channels;
       connect_lat = cfg.Config.lat.Latency.connect;
       penalty = Config.mispredict_penalty cfg;
@@ -235,8 +228,8 @@ module Timing = struct
       && match c.pending with [] -> false | p -> src_blocked p d
     then Map
     else if d.Dins.is_mem && c.mem_free <= 0 then Channel
-    else if d.Dins.is_connect && (not c.shared) && c.cslots <= 0 then Map
-    else if ((not d.Dins.is_connect) || c.shared) && c.slots <= 0 then Full
+    else if d.Dins.is_connect && c.cslots <= 0 then Map
+    else if (not d.Dins.is_connect) && c.slots <= 0 then Full
     else if
       (d.Dins.nsrcs < 1 || reg_ready c d.Dins.s0c sp0)
       && (d.Dins.nsrcs < 2 || reg_ready c d.Dins.s1c sp1)
@@ -269,7 +262,7 @@ module Timing = struct
     if (not c.halted) && st.cycles >= c.fuel then
       fail "out of fuel after %d cycles" st.cycles;
     c.slots <- c.issue;
-    c.cslots <- c.budget;
+    c.cslots <- c.issue;
     c.mem_free <- c.channels;
     c.pending <- [];
     c.cycle <- st.cycles
@@ -279,7 +272,7 @@ module Timing = struct
      filled up). *)
   let[@inline] issue c (d : Dins.t) ~map_on ~dp ~taken =
     let st = c.stats in
-    if d.Dins.is_connect && not c.shared then begin
+    if d.Dins.is_connect then begin
       c.cslots <- c.cslots - 1;
       st.extra_connects <- st.extra_connects + 1
     end

@@ -123,9 +123,7 @@ module Timing : sig
         (** map entries touched by connects issued this cycle *)
     mutable cycle : int;  (** [stats.cycles] when the open cycle began *)
     mutable halted : bool;
-    issue : int;
-    budget : int;  (** per-cycle connect dispatch budget; 0 when shared *)
-    shared : bool;
+    issue : int;  (** issue slots, and connect-dispatch slots, per cycle *)
     channels : int;
     connect_lat : int;
     penalty : int;

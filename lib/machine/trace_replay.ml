@@ -3,9 +3,9 @@
 
     On this in-order machine the timing knobs of a {!Config.t} — issue
     rate, memory channels, load/connect latency, the extra pipeline
-    stage, the connect dispatch budget — cannot change the dynamic
-    instruction stream, only how it packs into cycles.  So the stream is
-    recorded once ({!record}), and replay feeds each recorded entry —
+    stage — cannot change the dynamic instruction stream, only how it
+    packs into cycles.  So the stream is recorded once ({!record}), and
+    replay feeds each recorded entry —
     pc, resolved physical operands, map-enable bit, branch outcome — to
     the timing core {!Machine.Timing}: the same calls execution makes
     once it has resolved those facts from live state.  Replay therefore
@@ -27,20 +27,13 @@
     a configuration whose {e semantic} knobs match the recording (reset
     model, register file shapes — these change register resolution and
     hence values and branch outcomes).  Keying and matching is the
-    cache's job ({!Rc_harness.Experiments}); this module checks only
-    {!replay_safe}, the conditions under which recording itself is
-    sound.  See DESIGN.md §14. *)
+    cache's job ({!Rc_harness.Experiments}).  Recording itself is sound
+    on any configuration: a [Trap]/[Rfe] or injected interrupt during
+    recording invalidates the builder, so an unreplayable run never
+    produces a trace.  See DESIGN.md §14. *)
 
 open Rc_isa
 module T = Machine.Timing
-
-(** No trap handler configured: the program cannot trap, and interrupt
-    injection — the other unreplayable event — is driver-initiated and
-    never happens under the harness entry points that use this engine.
-    (A [Trap]/[Rfe] or injected interrupt during recording additionally
-    invalidates the builder, so an unreplayable run can never produce a
-    trace.) *)
-let replay_safe (cfg : Config.t) = Option.is_none cfg.Config.trap_handler
 
 (** Execute [image] under [cfg] with a recorder attached: the ordinary
     execution-driven result, plus the trace when the run was replayable.

@@ -10,16 +10,12 @@
 
 open Rc_isa
 
-(** Can a recording made under this configuration be replayed?  True
-    when no trap handler is configured (traps, [rfe] and injected
-    interrupts redirect control in ways the pure timing replayer does
-    not model; they also invalidate the recording itself). *)
-val replay_safe : Config.t -> bool
-
 (** Execute the image with a recorder attached: the ordinary
     execution-driven result plus the finished trace, or [None] when the
-    run hit an unreplayable event or the shape cannot fit the packed
-    layout ({!Dtrace.fits}, checked once up front). *)
+    run hit an unreplayable event — a trap, [rfe] or injected interrupt,
+    which redirect control in ways the pure timing replayer does not
+    model — or the shape cannot fit the packed layout ({!Dtrace.fits},
+    checked once up front). *)
 val record : Config.t -> Image.t -> Machine.result * Dtrace.t option
 
 (** Cumulative superblock-timing-memo counters (DESIGN.md §18): each

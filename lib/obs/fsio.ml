@@ -2,26 +2,21 @@
    directory, error-reporting close, fsync, atomic rename.  See
    fsio.mli. *)
 
-(* [Filename.temp_file] creates the temp 0o600 for its own
-   mktemp-style safety, but we are about to rename it over the
-   destination: without a chmod, atomically replacing a
-   world-readable file silently tightens it to owner-only.  Apply
-   the conventional creation mode instead, masked by the process
-   umask like open(2) would. *)
-let default_mode =
-  lazy
-    (let u = Unix.umask 0 in
-     ignore (Unix.umask u : int);
-     0o644 land lnot u)
-
+(* The temp file is created with the conventional mode 0o644, masked
+   by the process umask as open(2) always does: renaming it over the
+   destination must not silently tighten a world-readable file to
+   [Filename.temp_file]'s private 0o600.  Nothing process-wide is read
+   or set per call, so concurrent writers on other domains are safe. *)
 let write_atomic path f =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ("." ^ Filename.basename path) ".tmp" in
+  let tmp, oc =
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644
+      ~temp_dir:(Filename.dirname path)
+      ("." ^ Filename.basename path)
+      ".tmp"
+  in
   match
-    let oc = open_out_bin tmp in
     match
       f oc;
-      Unix.fchmod (Unix.descr_of_out_channel oc) (Lazy.force default_mode);
       (* Flush then fsync before the rename publishes the name: a
          crash after rename must not be able to expose an empty or
          partial file whose data never reached the disk. *)

@@ -1,12 +1,7 @@
 (* Wire payloads shared by the rcc CLI and the HTTP service: see
    payload.mli. *)
 
-let all_figure_ids =
-  [
-    "table1"; "fig7"; "fig8-int"; "fig8-fp"; "fig9-int"; "fig9-fp"; "fig10";
-    "fig11"; "fig12"; "fig13"; "ablation-models"; "ablation-combine";
-    "ablation-unroll";
-  ]
+let all_figure_ids = Rc_harness.Experiments.figure_ids
 
 let options_of ~issue ~core_int ~core_float ~rc ~load ~connect ~mem_channels
     ~extra_stage ~model ~no_unroll =

@@ -290,6 +290,89 @@ let test_shutdown_concurrent () =
   Domain.join d2;
   check_bool "concurrent shutdown returns" true true
 
+(* --- the trace-cache policy ------------------------------------------------------ *)
+
+module E = Rc_harness.Experiments
+
+(* An in-memory second cache level in place of the on-disk store:
+   the harness sees only the two closures. *)
+let mem_store () =
+  let tbl = Hashtbl.create 64 and mu = Mutex.create () in
+  let published = ref 0 in
+  let probe key = Mutex.protect mu (fun () -> Hashtbl.find_opt tbl key) in
+  let publish key tr =
+    Mutex.protect mu (fun () ->
+        incr published;
+        Hashtbl.replace tbl key tr)
+  in
+  (probe, publish, published)
+
+let with_ctx ?store ~engine f =
+  let ctx = E.create ~scale:1 ~jobs:1 ~engine () in
+  Option.iter (fun (probe, publish, _) -> E.set_store ctx ~probe ~publish) store;
+  Fun.protect ~finally:(fun () -> E.shutdown ctx) (fun () -> f ctx)
+
+(* Which path times a cell is a cache policy: it moves the counters,
+   never a number.  One cell through [simulate_cell] under each engine
+   and store state, then the whole of fig12 against the oracle. *)
+let test_trace_cache_policy () =
+  let b = Rc_workloads.Registry.find "cmp" in
+  let opts = E.reg_opts b ~label:16 ~rc:true () in
+  let c = Rc_harness.Pipeline.compile opts (b.Rc_workloads.Wutil.build 1) in
+  let oracle = Rc_harness.Pipeline.simulate c in
+  let step ctx what ~engine ~recorded =
+    let r, used = E.simulate_cell ctx c in
+    Alcotest.(check string) (what ^ ": engine") engine used;
+    check_bool (what ^ ": equals execution") true (r = oracle);
+    check (what ^ ": traces recorded") recorded (E.engine_stats ctx).E.recorded
+  in
+  with_ctx ~engine:E.Auto (fun ctx ->
+      step ctx "auto, first sighting" ~engine:"execute" ~recorded:0;
+      step ctx "auto, second sighting" ~engine:"execute" ~recorded:1;
+      step ctx "auto, third sighting" ~engine:"replay" ~recorded:1);
+  with_ctx ~engine:E.Replay (fun ctx ->
+      step ctx "replay, first sighting" ~engine:"execute" ~recorded:1;
+      step ctx "replay, second sighting" ~engine:"replay" ~recorded:1);
+  let ((_, _, published) as store) = mem_store () in
+  with_ctx ~store ~engine:E.Auto (fun ctx ->
+      step ctx "auto + store, first sighting" ~engine:"execute" ~recorded:1;
+      check "auto + store publishes its first sighting" 1 !published);
+  let ((_, _, published) as store) = mem_store () in
+  with_ctx ~store ~engine:E.Replay (fun ctx ->
+      step ctx "replay + store, first sighting" ~engine:"execute" ~recorded:1;
+      check "replay + store publishes its first sighting" 1 !published);
+  with_ctx ~store ~engine:E.Auto (fun ctx ->
+      step ctx "fresh context, warm store" ~engine:"replay" ~recorded:0;
+      check "store hit" 1 (E.engine_stats ctx).E.store_hits);
+  (* fig12 at one domain: every engine and store state renders the
+     oracle's table; the counters pin the policy. *)
+  let expected = with_ctx ~engine:E.Execute (fun ctx -> render_table (E.fig12 ctx)) in
+  let sweep ?store engine =
+    with_ctx ?store ~engine (fun ctx ->
+        Alcotest.(check string)
+          (E.engine_name engine ^ ": fig12 equals execution")
+          expected
+          (render_table (E.fig12 ctx));
+        E.engine_stats ctx)
+  in
+  let counts what (s : E.engine_stats) ~hits ~store_hits ~misses ~recorded =
+    check (what ^ ": hits") hits s.E.hits;
+    check (what ^ ": store hits") store_hits s.E.store_hits;
+    check (what ^ ": misses") misses s.E.misses;
+    check (what ^ ": recorded") recorded s.E.recorded;
+    check (what ^ ": not replay-safe") 0 s.E.unsafe
+  in
+  counts "auto" (sweep E.Auto) ~hits:25 ~store_hits:0 ~misses:47 ~recorded:23;
+  counts "replay" (sweep E.Replay) ~hits:25 ~store_hits:0 ~misses:47
+    ~recorded:23;
+  let ((_, _, published) as store) = mem_store () in
+  counts "auto, empty store" (sweep ~store E.Auto) ~hits:25 ~store_hits:0
+    ~misses:47 ~recorded:47;
+  check "auto, empty store: published" 47 !published;
+  counts "auto, warm store" (sweep ~store E.Auto) ~hits:72 ~store_hits:47
+    ~misses:0 ~recorded:0;
+  check "auto, warm store: nothing new published" 47 !published
+
 let suite =
   [
     ("pipeline verifies output", `Quick, test_pipeline_verifies);
@@ -311,4 +394,5 @@ let suite =
     ("shutdown is idempotent", `Quick, test_shutdown_idempotent);
     ("shutdown of an idle pool", `Quick, test_shutdown_idle_pool);
     ("concurrent shutdown", `Quick, test_shutdown_concurrent);
+    ("one trace-cache policy", `Slow, test_trace_cache_policy);
   ]

@@ -198,13 +198,13 @@ let test_extra_stage_penalty () =
 let rc_file = Reg.file ~core:8 ~total:32
 let rc_file16 = Reg.file ~core:16 ~total:32
 
-let rc_cfg ?(connect = 0) ?connect_dispatch () =
+let rc_cfg ?(connect = 0) () =
   C.v ~issue:4 ~lat:(Latency.v ~connect ()) ~ifile:rc_file
-    ~ffile:(Reg.core_only 8) ?connect_dispatch ()
+    ~ffile:(Reg.core_only 8) ()
 
-let rc_cfg16 ?(connect = 0) ?connect_dispatch () =
+let rc_cfg16 ?(connect = 0) () =
   C.v ~issue:4 ~lat:(Latency.v ~connect ()) ~ifile:rc_file16
-    ~ffile:(Reg.core_only 8) ?connect_dispatch ()
+    ~ffile:(Reg.core_only 8) ()
 
 let connect_prog =
   [
@@ -251,24 +251,27 @@ let test_connect_zero_vs_one_cycle () =
   check_bool "map stall recorded" true (r.M.map_stalls > 0)
 
 let test_connect_dispatch_budget () =
-  (* real work interleaved with connects: with [`Shared] dispatch the
-     connects compete for issue slots and the program slows down *)
-  let insns =
-    List.concat
-      (List.init 4 (fun k ->
-           [
-             Insn.li ~dst:(8 + k) (Int64.of_int k);
-             Insn.connect_use ~cls:Reg.Int ~ri:7 ~rp:(20 + k) ();
-           ]))
-    @ [ Insn.halt () ]
-  in
-  let extra = (M.run (rc_cfg16 ()) (image_of insns)).M.cycles in
-  let shared =
-    (M.run (rc_cfg16 ~connect_dispatch:`Shared ()) (image_of insns)).M.cycles
-  in
-  check_bool
-    (Fmt.str "shared dispatch is slower (%d > %d)" shared extra)
-    true (shared > extra)
+  (* connects dispatch through their own budget of [issue] per cycle,
+     beside the issue slots (section 2.4) *)
+  let li k = Insn.li ~dst:(8 + k) (Int64.of_int k) in
+  let con k = Insn.connect_use ~cls:Reg.Int ~ri:7 ~rp:(20 + k) () in
+  let run insns = M.run (rc_cfg16 ()) (image_of (insns @ [ Insn.halt () ])) in
+  (* four connects interleaved with four real instructions cost no
+     cycle: they take no issue slot *)
+  let plain = run (List.init 4 li) in
+  let mixed = run (List.concat (List.init 4 (fun k -> [ li k; con k ]))) in
+  check "connects take no issue slot" plain.M.cycles mixed.M.cycles;
+  check "every instruction issued" (plain.M.issued + 4) mixed.M.issued;
+  (* a fifth connect in a 4-issue cycle waits for the next cycle, and
+     the wait is charged to the mapping table *)
+  let four = run (List.init 4 con) and five = run (List.init 5 con) in
+  check "a fifth connect waits a cycle" (four.M.cycles + 1) five.M.cycles;
+  check "four connects fit one cycle" 0 four.M.map_stalls;
+  check "the fifth stalls on the map" 1 five.M.map_stalls;
+  List.iter
+    (fun (r : M.result) ->
+      check "extra_connects = connects" r.M.connects r.M.extra_connects)
+    [ mixed; four; five ]
 
 (* --- jsr / rts map reset (section 4.1) -------------------------------------------- *)
 
@@ -710,13 +713,16 @@ let test_slot_invariant_matrix () =
     [ 1; 2; 4; 8 ]
 
 let test_slot_invariant_shared_dispatch () =
-  (* `Shared dispatch: connects consume regular slots, extra_connects
-     stays 0 and the invariant still balances *)
-  let r =
-    M.run (rc_cfg16 ~connect_dispatch:`Shared ()) (image_of connect_prog)
-  in
-  check "no extra-slot connects under shared dispatch" 0 r.M.extra_connects;
-  check_invariant "shared dispatch" ~issue:4 r
+  (* every connect dispatches beside the issue slots, so the invariant
+     excludes all of them, under 0- and 1-cycle connects alike *)
+  List.iter
+    (fun connect ->
+      let r = M.run (rc_cfg16 ~connect ()) (image_of connect_prog) in
+      check
+        (Fmt.str "%d-cycle connects: extra_connects = connects" connect)
+        r.M.connects r.M.extra_connects;
+      check_invariant (Fmt.str "%d-cycle connects" connect) ~issue:4 r)
+    [ 0; 1 ]
 
 let test_observer_samples () =
   (* the per-cycle observer stream must tile the run: samples'

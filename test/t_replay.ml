@@ -234,9 +234,9 @@ let test_fig10_batched () =
     !checked
 
 (* Batching across configurations that differ in timing knobs only:
-   extra_stage and connect_dispatch never enter compilation, so the
-   fig12 ±st pair plus a dispatch variant share one image — one trace,
-   one pass, three timing states. *)
+   extra_stage never enters compilation, so the fig12 ±st pair shares
+   one image, and the +st image run on a one-channel machine is a third
+   timing state — one trace, one pass, three states. *)
 let test_batch_cross_config () =
   let b = Registry.find "grep" in
   let lat = Rc_isa.Latency.v ~connect:1 () in
@@ -247,12 +247,8 @@ let test_batch_cross_config () =
   let st =
     compile b (Experiments.reg_opts b ~label ~rc:true ~lat ~extra_stage:true ())
   in
-  let xd =
-    {
-      st with
-      Pipeline.opts =
-        { st.Pipeline.opts with Pipeline.connect_dispatch = Some (`Extra 1) };
-    }
+  let ch1 =
+    { st with Pipeline.opts = { st.Pipeline.opts with Pipeline.mem_channels = 1 } }
   in
   let _, tr = Pipeline.simulate_recorded base in
   let tr = Option.get tr in
@@ -264,9 +260,9 @@ let test_batch_cross_config () =
     [
       ("fig12/grep/batch/base", base);
       ("fig12/grep/batch/+st", st);
-      ("fig12/grep/batch/+st+xd", xd);
+      ("fig12/grep/batch/+st/1ch", ch1);
     ]
-    (Pipeline.simulate_replay_batch [ base; st; xd ] tr)
+    (Pipeline.simulate_replay_batch [ base; st; ch1 ] tr)
 
 (* --- planted divergence -------------------------------------------------- *)
 

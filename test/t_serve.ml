@@ -864,6 +864,38 @@ let test_store_eviction () =
       check_bool "the survivor decodes" true
         (Store.probe st2 "a" <> None || Store.probe st2 "c" <> None))
 
+(* Every pool domain of a two-domain sweep or server publishes into
+   one store: a publish may touch nothing process-wide that another
+   domain could be initialising or toggling at the same moment. *)
+let test_store_concurrent_publish () =
+  with_temp_dir (fun dir ->
+      let st = Store.open_store ~dir () in
+      let key d i = Fmt.str "domain%d#key%d" d i in
+      let go = Atomic.make false in
+      let domains =
+        List.init 4 (fun d ->
+            Domain.spawn (fun () ->
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                for i = 0 to 24 do
+                  Store.publish st (key d i) (trace_fixture ((25 * d) + i))
+                done))
+      in
+      Atomic.set go true;
+      (* [join] re-raises whatever a publish raised *)
+      List.iter Domain.join domains;
+      check "every publish landed" 100 (Store.stats st).Store.published;
+      for d = 0 to 3 do
+        for i = 0 to 24 do
+          match Store.probe st (key d i) with
+          | Some tr ->
+              check_bool (key d i ^ " probes back") true
+                (same_trace tr (trace_fixture ((25 * d) + i)))
+          | None -> Alcotest.failf "%s did not probe back" (key d i)
+        done
+      done)
+
 let suite =
   [
     ("http: parse request", `Quick, test_http_parse);
@@ -891,4 +923,5 @@ let suite =
     ("store: LRU eviction under a byte cap", `Quick, test_store_eviction);
     ("non-positive machine parameters get 400", `Slow, test_nonpositive_machine);
     ("out-of-range core register counts get 400", `Slow, test_core_count_bounds);
+    ("store: concurrent publishes from four domains", `Quick, test_store_concurrent_publish);
   ]
