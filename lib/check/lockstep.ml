@@ -81,24 +81,54 @@ let map_mismatch name (a : Map_table.t) (b : Map_table.t) =
   done;
   !bad
 
-(* The machine's output is a buffer in emission order; the oracle's is
-   a reversed list.  Walk the oracle list backwards down the buffer. *)
-let output_mismatch (m : Machine.t) (o : Iexec.t) =
-  let n = m.Machine.out_len and b = o.Iexec.out_rev in
-  if n <> List.length b then
-    Some (Fmt.str "machine emitted %d values, oracle %d" n (List.length b))
-  else
-    let bad = ref None in
-    List.iteri
-      (fun j vb ->
-        let i = n - 1 - j in
-        let va = m.Machine.out.(i) in
-        if not (Int64.equal va vb) then
-          bad := Some (Fmt.str "output[%d]: machine %Ld, oracle %Ld" i va vb))
-      b;
-    !bad
+(* How far earlier checks got through the output stream: the count
+   both sides had then, and the oracle's list at that point.  The
+   oracle conses new values onto that list, so what it emitted since is
+   the front of its list down to it. *)
+type seen = { mutable s_n : int; mutable s_list : int64 list }
 
-let compare_state (m : Machine.t) (o : Iexec.t) =
+let seen () = { s_n = 0; s_list = [] }
+
+(* The cells of [l] in front of [old], or -1 when [old] is not a suffix
+   of [l]. *)
+let rec count_fresh l old k =
+  if l == old then k
+  else match l with [] -> -1 | _ :: r -> count_fresh r old (k + 1)
+
+(* The lowest of the machine's [out.(i)], [out.(i - 1)], ... that
+   differs from the oracle's next [k] values, or [bad]. *)
+let rec lowest_mismatch (out : int64 array) l i k bad =
+  match l with
+  | v :: r when k > 0 ->
+      lowest_mismatch out r (i - 1) (k - 1)
+        (if Int64.equal out.(i) v then bad else i)
+  | _ -> bad
+
+(* The machine's output is a buffer in emission order; the oracle's is
+   a reversed list.  Only the values emitted since the check [seen]
+   recorded are compared, walking the oracle list backwards down the
+   buffer: the lowest differing index, or a count that differs. *)
+let output_mismatch seen (m : Machine.t) (o : Iexec.t) =
+  let n = m.Machine.out_len and b = o.Iexec.out_rev in
+  let fresh = count_fresh b seen.s_list 0 in
+  let base, fresh =
+    if fresh >= 0 then (seen.s_n, fresh) else (0, count_fresh b [] 0)
+  in
+  if n <> base + fresh then
+    Some (Fmt.str "machine emitted %d values, oracle %d" n (base + fresh))
+  else
+    let i = lowest_mismatch m.Machine.out b (n - 1) fresh (-1) in
+    if i >= 0 then
+      Some
+        (Fmt.str "output[%d]: machine %Ld, oracle %Ld" i m.Machine.out.(i)
+           (List.nth b (n - 1 - i)))
+    else begin
+      seen.s_n <- n;
+      seen.s_list <- b;
+      None
+    end
+
+let compare_state ?(seen = seen ()) (m : Machine.t) (o : Iexec.t) =
   let halted = m.Machine.timing.Timing.halted in
   if halted <> o.Iexec.halted then
     Some
@@ -109,7 +139,7 @@ let compare_state (m : Machine.t) (o : Iexec.t) =
   else if m.Machine.pc <> o.Iexec.pc && not halted then
     Some ("pc", Fmt.str "machine pc %d, oracle pc %d" m.Machine.pc o.Iexec.pc)
   else
-    match output_mismatch m o with
+    match output_mismatch seen m o with
     | Some d -> Some ("output", d)
     | None -> (
         match find_reg_mismatch m o with
@@ -167,6 +197,7 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
       ~ifile:cfg.Rc_machine.Config.ifile ~ffile:cfg.Rc_machine.Config.ffile
       image
   in
+  let seen = seen () in
   let diverged = ref None in
   (try
      while !diverged = None && not m.Machine.timing.Timing.halted do
@@ -179,7 +210,7 @@ let run ?oracle_model ?(fuel_cycles = 100_000_000) (cfg : Rc_machine.Config.t)
        for _ = 1 to delta do
          Iexec.step o
        done;
-       match compare_state m o with
+       match compare_state ~seen m o with
        | None -> ()
        | Some (field, detail) ->
            (* The faulting instruction is inside the group issued this

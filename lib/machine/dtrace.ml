@@ -431,130 +431,195 @@ let next cur =
     else decode_literal cur tok
   end
 
-(* --- superblock (block-level) decoding ----------------------------------- *)
+(* --- block-level decoding -------------------------------------------------- *)
 
-(* The RUN tokens already delimit the stream's straight-line
-   superblocks: a maximal sequence of RUN tokens is one dynamic visit
-   to a straight-line segment whose entries are all {e plain} — pc
-   consecutive, not taken, map bit constant, registers equal to the
-   prediction tables.  Because plain entries never touch the tables,
-   such a visit is fully determined by (start pc, length, map bit,
-   prediction-table version), where the version counts the literal
-   tokens that carried register deltas — the only table mutations.
-   Interning that identity gives every repeated visit to a hot loop
-   body the {e same} small [seg_id] and the same cached entry array:
-   the second and later visits decode nothing at all, and the replay
-   engine can key timing memos by [seg_id].  See DESIGN.md §18. *)
+(* A block is one dynamic visit to a stretch of straight-line code: a
+   maximal run of entries with consecutive pcs and one map-enable bit,
+   which ends after a taken branch, before a jump target, and before a
+   literal that rewrites the prediction tables or toggles the map bit.
+   A rewriting literal opens the next block instead, so every entry of
+   a block resolves to what the tables hold once its first entry is
+   decoded: the tables change only at the rewriting literals, each of
+   which bumps the table version.  A visit is therefore fully
+   determined by (start pc, length, map bit, last-entry-taken bit,
+   version).  The block cursor interns that identity to a dense
+   [id], so the replay engine can key timing memos by it, and the
+   entries themselves are read straight from the tables: no entry
+   array exists.  Tokens are scanned, not decoded, inside a block: a
+   RUN token adds its length, and a literal that neither jumps nor
+   rewrites nor toggles is its one flag byte.  See DESIGN.md §18. *)
 
-type seg = {
-  seg_id : int;  (** dense intern index, first sighting order *)
-  seg_start : int;  (** pc of the first entry *)
-  seg_len : int;  (** dynamic entries in the visit (>= 1) *)
-  seg_map : bool;  (** the map-enable bit of every entry *)
-  seg_entries : int array;  (** the packed entries, decoded once *)
+type block = {
+  mutable id : int;
+  mutable start : int;
+  mutable len : int;
+  mutable map : bool;
+  mutable last_taken : bool;
+  sp0s : int array;
+  sp1s : int array;
+  dps : int array;
 }
-
-type block = Lit of int | Run of seg
 
 type bcursor = {
   b_cur : cursor;
+  b_blk : block;
   mutable b_version : int;
       (** bumped whenever a literal token rewrites a prediction entry
-          (flag bits 3/4/5) — part of every segment identity *)
-  b_ids : (int * int * int, seg) Hashtbl.t;
+          (flag bits 3/4/5) — part of every block identity *)
+  (* The intern table: open addressing over (packed shape, version),
+     [t_shape = -1] marking a free slot. *)
+  mutable t_shape : int array;
+  mutable t_version : int array;
+  mutable t_id : int array;
   mutable b_nsegs : int;
 }
 
 let bcursor arch t =
+  if Array.length arch.a0 > max_pc + 1 then
+    invalid_arg "Dtrace.bcursor: code longer than the packed pc range";
+  let cur = cursor arch t in
   {
-    b_cur = cursor arch t;
+    b_cur = cur;
+    b_blk =
+      {
+        id = -1;
+        start = 0;
+        len = 0;
+        map = false;
+        last_taken = false;
+        sp0s = cur.c_l0;
+        sp1s = cur.c_l1;
+        dps = cur.c_ld;
+      };
     b_version = 0;
-    b_ids = Hashtbl.create 64;
+    t_shape = Array.make 64 (-1);
+    t_version = Array.make 64 0;
+    t_id = Array.make 64 0;
     b_nsegs = 0;
   }
 
 let bsegs bc = bc.b_nsegs
 let bidx bc = bc.b_cur.c_idx
 
-(* A whole superblock visit: [len0] plain entries already owed, plus
-   every directly following RUN token, as one [Run] block. *)
-let run_block bc len0 =
-  let cur = bc.b_cur in
-  let len = ref len0 in
-  let data_len = Bytes.length cur.c_data in
-  let continue = ref true in
-  while
-    !continue && cur.c_pos < data_len
-    && Char.code (Bytes.unsafe_get cur.c_data cur.c_pos) land 0x80 <> 0
-  do
-    let k = Char.code (Bytes.unsafe_get cur.c_data cur.c_pos) land 0x7f in
-    if k = 0 then corrupt ();
-    (* never consume entries past [n]: a trailing over-long RUN token
-       is ignored by {!next} too *)
-    if cur.c_idx + !len + k > cur.c_n then continue := false
-    else begin
-      cur.c_pos <- cur.c_pos + 1;
-      len := !len + k
-    end
-  done;
-  let len = min !len (cur.c_n - cur.c_idx) in
-  if len <= 0 then corrupt ();
-  let start = cur.c_prev_pc + 1 in
-  if start < 0 || start + len - 1 >= Array.length cur.c_l0 then corrupt ();
-  let key = (start, len, (bc.b_version lsl 1) lor Bool.to_int cur.c_prev_map) in
-  let seg =
-    match Hashtbl.find_opt bc.b_ids key with
-    | Some s -> s
-    | None ->
-        let map = cur.c_prev_map in
-        let entries =
-          (* plain entries never rewrite the tables, so one read per
-             pc suffices for the whole segment *)
-          Array.init len (fun i ->
-              let pc = start + i in
-              pack ~pc ~sp0:cur.c_l0.(pc) ~sp1:cur.c_l1.(pc)
-                ~dp:cur.c_ld.(pc) ~map_on:map ~taken:false)
-        in
-        let s =
-          {
-            seg_id = bc.b_nsegs;
-            seg_start = start;
-            seg_len = len;
-            seg_map = map;
-            seg_entries = entries;
-          }
-        in
-        bc.b_nsegs <- bc.b_nsegs + 1;
-        Hashtbl.replace bc.b_ids key s;
-        s
-  in
-  cur.c_prev_pc <- start + len - 1;
-  cur.c_idx <- cur.c_idx + len;
-  Run seg
+let[@inline] intern_slot shape version mask =
+  let h = (shape * 0x2545F4914F6CDD1D) lxor (version * 0x1E3779B97F4A7C15) in
+  (h lxor (h lsr 29)) land mask
 
-(** The next block: one literal entry, or one whole superblock visit
-    (a maximal sequence of RUN tokens, coalesced).  Consumes
-    [seg_len] entries at once in the [Run] case; interleaving with
-    {!next} on the same underlying trace is not supported.
+let grow_interned bc =
+  let shapes = bc.t_shape and versions = bc.t_version and ids = bc.t_id in
+  let cap = 2 * Array.length shapes in
+  let mask = cap - 1 in
+  bc.t_shape <- Array.make cap (-1);
+  bc.t_version <- Array.make cap 0;
+  bc.t_id <- Array.make cap 0;
+  Array.iteri
+    (fun i shape ->
+      if shape >= 0 then begin
+        let j = ref (intern_slot shape versions.(i) mask) in
+        while bc.t_shape.(!j) >= 0 do
+          j := (!j + 1) land mask
+        done;
+        bc.t_shape.(!j) <- shape;
+        bc.t_version.(!j) <- versions.(i);
+        bc.t_id.(!j) <- ids.(i)
+      end)
+    shapes
+
+(* The dense id of (shape, version), interned on first sighting. *)
+let intern bc shape version =
+  let mask = Array.length bc.t_shape - 1 in
+  let j = ref (intern_slot shape version mask) in
+  while
+    bc.t_shape.(!j) >= 0
+    && not (bc.t_shape.(!j) = shape && bc.t_version.(!j) = version)
+  do
+    j := (!j + 1) land mask
+  done;
+  if bc.t_shape.(!j) >= 0 then bc.t_id.(!j)
+  else begin
+    let id = bc.b_nsegs in
+    bc.t_shape.(!j) <- shape;
+    bc.t_version.(!j) <- version;
+    bc.t_id.(!j) <- id;
+    bc.b_nsegs <- id + 1;
+    if 2 * bc.b_nsegs > mask then grow_interned bc;
+    id
+  end
+
+(** The next block, in the cursor's one block record (updated in
+    place).  Interleaving with {!next} on the same underlying trace is
+    not supported.
     @raise Invalid_argument past entry [n - 1] or on a corrupt
     stream. *)
 let next_block bc =
   let cur = bc.b_cur in
-  if cur.c_idx >= cur.c_n then invalid_arg "Dtrace.next_block: trace exhausted";
-  if cur.c_run > 0 then begin
-    let owed = cur.c_run in
-    cur.c_run <- 0;
-    run_block bc owed
-  end
-  else begin
-    let tok = read_byte cur in
-    if tok land 0x80 <> 0 then run_block bc (tok land 0x7f)
+  let room = cur.c_n - cur.c_idx in
+  if room <= 0 then invalid_arg "Dtrace.next_block: trace exhausted";
+  (* The first entry opens the block: a plain entry, or a literal that
+     may jump, rewrite the tables or toggle the map bit. *)
+  let len = ref 1 and taken = ref false in
+  let tok = read_byte cur in
+  let start =
+    if tok land 0x80 <> 0 then begin
+      if tok land 0x7f = 0 then corrupt ();
+      len := tok land 0x7f;
+      cur.c_prev_pc + 1
+    end
     else begin
       if tok land 0x38 <> 0 then bc.b_version <- bc.b_version + 1;
-      cur.c_idx <- cur.c_idx + 1;
-      Lit (decode_literal cur tok)
+      taken := tok land 1 <> 0;
+      pc (decode_literal cur tok)
     end
-  end
+  in
+  let map = cur.c_prev_map in
+  let data = cur.c_data in
+  let data_len = Bytes.length data in
+  let open_ = ref true in
+  while !open_ && (not !taken) && !len < room && cur.c_pos < data_len do
+    let b = Char.code (Bytes.unsafe_get data cur.c_pos) in
+    if b land 0x80 <> 0 then begin
+      let k = b land 0x7f in
+      if k = 0 then corrupt ();
+      (* never consume entries past [n]: a trailing over-long RUN token
+         is ignored by {!next} too *)
+      if !len + k > room then open_ := false
+      else begin
+        cur.c_pos <- cur.c_pos + 1;
+        len := !len + k
+      end
+    end
+    else if b land 0x3c = 0 && (b land 2 <> 0) = map then begin
+      (* a literal that only records a taken branch *)
+      cur.c_pos <- cur.c_pos + 1;
+      incr len;
+      taken := b land 1 <> 0
+    end
+    else open_ := false
+  done;
+  let len = min !len room in
+  if start < 0 || start + len > Array.length cur.c_l0 then corrupt ();
+  cur.c_prev_pc <- start + len - 1;
+  cur.c_idx <- cur.c_idx + len;
+  let shape =
+    start lor (len lsl 22)
+    lor (Bool.to_int map lsl 45)
+    lor (Bool.to_int !taken lsl 46)
+  in
+  let blk = bc.b_blk in
+  blk.id <- intern bc shape bc.b_version;
+  blk.start <- start;
+  blk.len <- len;
+  blk.map <- map;
+  blk.last_taken <- !taken;
+  blk
+
+(** Entry [i] of a block, packed. *)
+let block_entry blk i =
+  let pc = blk.start + i in
+  pack ~pc ~sp0:blk.sp0s.(pc) ~sp1:blk.sp1s.(pc) ~dp:blk.dps.(pc)
+    ~map_on:blk.map
+    ~taken:(blk.last_taken && i = blk.len - 1)
+
 let entries arch t =
   let cur = cursor arch t in
   let es = Array.make t.n 0 in

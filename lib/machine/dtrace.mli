@@ -133,46 +133,57 @@ val cursor : arch -> t -> cursor
     stream. *)
 val next : cursor -> int
 
-(** {2 Superblock decoding}
+(** {2 Block decoding}
 
-    The RUN tokens delimit the stream's straight-line superblocks: a
-    maximal sequence of RUN tokens is one dynamic visit to a segment
-    whose entries are all plain.  Such a visit is fully determined by
-    (start pc, length, map bit, prediction-table version) — plain
-    entries never touch the tables — so the block cursor interns that
-    identity: every repeated visit to a hot loop body yields the same
-    dense [seg_id] and the same cached entry array, decoded exactly
-    once.  The replay engine keys its timing memo by [seg_id]
-    (DESIGN.md §18). *)
+    A block is one dynamic visit to straight-line code: consecutive
+    pcs under one map-enable bit, ending after a taken branch, before a
+    jump target, and before a literal that rewrites the prediction
+    tables or toggles the map bit (such a literal opens the next
+    block).  Every entry belongs to exactly one block, and a block is
+    fully determined by (start pc, length, map bit, last-entry-taken
+    bit, prediction-table version), so the block cursor interns that
+    identity to a dense [id]: every repeated visit to a loop body
+    yields the same [id].  The entries are not copied out: each one's
+    resolved registers are the cursor's prediction tables at its pc.
+    The replay engine keys its timing memo by [id] (DESIGN.md §18). *)
 
-type seg = {
-  seg_id : int;  (** dense intern index, first-sighting order *)
-  seg_start : int;  (** pc of the first entry *)
-  seg_len : int;  (** dynamic entries in the visit (>= 1) *)
-  seg_map : bool;  (** the map-enable bit of every entry *)
-  seg_entries : int array;  (** the packed entries, decoded once *)
+type block = private {
+  mutable id : int;  (** dense intern index, first-sighting order *)
+  mutable start : int;  (** pc of the first entry *)
+  mutable len : int;  (** entries in the visit (>= 1), at pcs [start ..] *)
+  mutable map : bool;  (** the map-enable bit of every entry *)
+  mutable last_taken : bool;
+      (** the branch outcome of the last entry; the others fall
+          through *)
+  sp0s : int array;
+      (** resolved source 0 by pc: valid at the block's pcs until the
+          next {!next_block} *)
+  sp1s : int array;
+  dps : int array;
 }
-
-type block =
-  | Lit of int  (** one literal entry, packed *)
-  | Run of seg  (** one whole superblock visit *)
 
 type bcursor
 
+(** @raise Invalid_argument when the table's code is longer than the
+    packed pc range. *)
 val bcursor : arch -> t -> bcursor
 
-(** Interned segment identities so far; [seg_id] values are dense
-    below this. *)
+(** Interned block identities so far; [id] values are dense below
+    this. *)
 val bsegs : bcursor -> int
 
 (** Entries consumed so far — the index of the next entry. *)
 val bidx : bcursor -> int
 
-(** The next block; consumes [seg_len] entries at once in the [Run]
-    case.
+(** The next block.  The cursor owns one block record and updates it in
+    place, so a block is valid until the next call.  Interleaving with
+    {!next} on the same underlying trace is not supported.
     @raise Invalid_argument past entry [n - 1] or on a corrupt
     stream. *)
 val next_block : bcursor -> block
+
+(** Entry [i] of a block ([0 <= i < len]), packed. *)
+val block_entry : block -> int -> int
 
 (** Every entry decoded to packed form — test and tooling hook; the
     replay engine streams through {!cursor} instead. *)

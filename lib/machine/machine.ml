@@ -127,8 +127,11 @@ module Timing = struct
     mutable slots : int;  (** issue slots left in the open cycle *)
     mutable cslots : int;  (** extra connect-dispatch slots left *)
     mutable mem_free : int;  (** memory channels left *)
-    mutable pending : (Reg.cls * Insn.map_kind * int) list;
-        (** map entries touched by connects issued this cycle *)
+    mutable pending : int array;
+        (** map entries touched by connects issued this cycle, packed by
+            [pending_key], in issue order; only [pending.(0 ..
+            n_pending - 1)] is meaningful *)
+    mutable n_pending : int;
     mutable cycle : int;  (** [stats.cycles] when the open cycle began *)
     mutable halted : bool;
     issue : int;  (** issue slots, and connect-dispatch slots, per cycle *)
@@ -166,7 +169,8 @@ module Timing = struct
       slots = cfg.Config.issue;
       cslots = cfg.Config.issue;
       mem_free = cfg.Config.mem_channels;
-      pending = [];
+      pending = Array.make 8 0;
+      n_pending = 0;
       cycle = 0;
       halted = false;
       issue = cfg.Config.issue;
@@ -205,27 +209,41 @@ module Timing = struct
     | Reg.Int -> c.iready.(p) <= c.cycle
     | Reg.Float -> c.fready.(p) <= c.cycle
 
-  (* The 1-cycle-connect conflict scan over architectural map entries.
-     A hand-written scan instead of [List.mem] so the (rare) check
-     allocates no comparison tuple. *)
-  let rec pending_mem cls (kind : Insn.map_kind) r = function
-    | [] -> false
-    | (c, k, i) :: rest ->
-        (Reg.equal_cls c cls && k = kind && i = r)
-        || pending_mem cls kind r rest
+  (* An architectural map entry as one int: its index, then the map
+     (read 0, write 1), then the class (integer 0, FP 1). *)
+  let[@inline] pending_key (cls : Reg.cls) (kind : Insn.map_kind) r =
+    (r lsl 2)
+    lor (match kind with Insn.Read -> 0 | Insn.Write -> 2)
+    lor match cls with Reg.Int -> 0 | Reg.Float -> 1
 
-  let src_blocked pending (d : Dins.t) =
-    (d.Dins.nsrcs > 0 && pending_mem d.Dins.s0c Insn.Read d.Dins.s0 pending)
-    || (d.Dins.nsrcs > 1 && pending_mem d.Dins.s1c Insn.Read d.Dins.s1 pending)
-    || (d.Dins.d >= 0 && pending_mem d.Dins.dc Insn.Write d.Dins.d pending)
+  let[@inline never] grow_pending c =
+    let a = Array.make (2 * Array.length c.pending) 0 in
+    Array.blit c.pending 0 a 0 c.n_pending;
+    c.pending <- a
+
+  let[@inline] add_pending c key =
+    if c.n_pending = Array.length c.pending then grow_pending c;
+    c.pending.(c.n_pending) <- key;
+    c.n_pending <- c.n_pending + 1
+
+  (* The 1-cycle-connect conflict scan over this cycle's map entries. *)
+  let rec pending_from c key i =
+    i < c.n_pending && (c.pending.(i) = key || pending_from c key (i + 1))
+
+  let src_blocked c (d : Dins.t) =
+    (d.Dins.nsrcs > 0
+    && pending_from c (pending_key d.Dins.s0c Insn.Read d.Dins.s0) 0)
+    || (d.Dins.nsrcs > 1
+       && pending_from c (pending_key d.Dins.s1c Insn.Read d.Dins.s1) 0)
+    || (d.Dins.d >= 0
+       && pending_from c (pending_key d.Dins.dc Insn.Write d.Dins.d) 0)
 
   (* The blocker order.  A group that fills up closes at once
      ([issue]), so an open cycle always has a slot or a connect slot
      left and "group full" needs no check here. *)
   let[@inline] blocker c (d : Dins.t) ~map_on ~sp0 ~sp1 ~dp =
     if
-      c.connect_lat > 0 && map_on
-      && match c.pending with [] -> false | p -> src_blocked p d
+      c.connect_lat > 0 && map_on && c.n_pending > 0 && src_blocked c d
     then Map
     else if d.Dins.is_mem && c.mem_free <= 0 then Channel
     else if d.Dins.is_connect && c.cslots <= 0 then Map
@@ -264,7 +282,7 @@ module Timing = struct
     c.slots <- c.issue;
     c.cslots <- c.issue;
     c.mem_free <- c.channels;
-    c.pending <- [];
+    c.n_pending <- 0;
     c.cycle <- st.cycles
 
   (* Issue [d], which [blocker] admitted, and apply its opcode's timing
@@ -324,7 +342,7 @@ module Timing = struct
           if map_on && c.connect_lat > 0 then
             for i = 0 to Array.length d.Dins.connects - 1 do
               let x = d.Dins.connects.(i) in
-              c.pending <- (x.Insn.ccls, x.Insn.cmap, x.Insn.ri) :: c.pending
+              add_pending c (pending_key x.Insn.ccls x.Insn.cmap x.Insn.ri)
             done;
           Ready
       | Opcode.Trap | Opcode.Rfe -> Redirect
@@ -343,14 +361,25 @@ module Timing = struct
         close c cause;
         true
 
-  (* The entry-driven form trace replay uses: close cycles until [d]
-     can issue, then issue it. *)
-  let rec admit c d ~map_on ~sp0 ~sp1 ~dp ~taken =
-    match blocker c d ~map_on ~sp0 ~sp1 ~dp with
-    | Ready -> ignore (issue c d ~map_on ~dp ~taken : bool)
-    | cause ->
-        close c cause;
-        admit c d ~map_on ~sp0 ~sp1 ~dp ~taken
+  (* The entry-driven form trace replay uses, over the straight-line
+     entries at pcs [first .. last]: for each, close cycles until it
+     can issue, then issue it.  The loop lives in this unit so that
+     [blocker] and [issue] compile in place for each entry. *)
+  let admit_run c (pre : Dins.t array) ~first ~last ~map_on ~sp0 ~sp1 ~dp
+      ~taken =
+    for pc = first to last do
+      if not c.halted then begin
+        let d = pre.(pc) in
+        let s0 = sp0.(pc) and s1 = sp1.(pc) and p = dp.(pc) in
+        let blocked = ref true in
+        while !blocked do
+          match blocker c d ~map_on ~sp0:s0 ~sp1:s1 ~dp:p with
+          | Ready -> blocked := false
+          | cause -> close c cause
+        done;
+        ignore (issue c d ~map_on ~dp:p ~taken:(taken && pc = last) : bool)
+      end
+    done
 
   let result c ~output ~checksum : result =
     let st = c.stats in

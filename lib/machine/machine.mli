@@ -87,7 +87,7 @@ val checksum_of_output : int64 list -> int64
     execution resolved for it (physical operands, map-enable bit,
     branch outcome), which are exactly what a {!Dtrace} entry records.
     {!run_cycle} drives it from live execution; trace replay drives it
-    through {!admit}. *)
+    through {!admit_run}. *)
 module Timing : sig
   type stats = {
     mutable cycles : int;
@@ -119,8 +119,13 @@ module Timing : sig
     mutable slots : int;  (** issue slots left in the open cycle *)
     mutable cslots : int;  (** extra connect-dispatch slots left *)
     mutable mem_free : int;  (** memory channels left *)
-    mutable pending : (Reg.cls * Insn.map_kind * int) list;
-        (** map entries touched by connects issued this cycle *)
+    mutable pending : int array;
+        (** map entries touched by connects issued this cycle (1-cycle
+            connects only), in issue order, each packed as one int
+            [(index lsl 2) lor (map lsl 1) lor class] (map 0 read, 1
+            write; class 0 integer, 1 FP); only
+            [pending.(0 .. n_pending - 1)] is meaningful *)
+    mutable n_pending : int;
     mutable cycle : int;  (** [stats.cycles] when the open cycle began *)
     mutable halted : bool;
     issue : int;  (** issue slots, and connect-dispatch slots, per cycle *)
@@ -144,13 +149,28 @@ module Timing : sig
   (** Append one packed entry to the write log. *)
   val log_write : t -> int -> unit
 
-  (** Issue [d] in the first cycle that can take it, closing the cycles
-      before it, and apply its opcode's timing effects.  [sp0]/[sp1]/
-      [dp] are its resolved physical operands ([-1] when absent).
+  (** Append one packed map entry to {!field-pending}. *)
+  val add_pending : t -> int -> unit
+
+  (** Issue the instructions at pcs [first .. last] in turn, each in
+      the first cycle that can take it, closing the cycles before it,
+      and apply their opcodes' timing effects; a no-op once halted.
+      These are the straight-line entries of one trace block: all with
+      map-enable bit [map_on], resolved physical operands
+      [sp0.(pc)]/[sp1.(pc)]/[dp.(pc)] ([-1] when absent), and [taken]
+      the outcome of the last one (the others fall through).
       @raise Simulation_error when the clock reaches the configured fuel
       before [halt]. *)
-  val admit :
-    t -> Dins.t -> map_on:bool -> sp0:int -> sp1:int -> dp:int -> taken:bool ->
+  val admit_run :
+    t ->
+    Dins.t array ->
+    first:int ->
+    last:int ->
+    map_on:bool ->
+    sp0:int array ->
+    sp1:int array ->
+    dp:int array ->
+    taken:bool ->
     unit
 
   (** The counters as a {!result}. *)

@@ -4,7 +4,7 @@
     ({!Machine.Timing}) execution uses, so the {!Machine.result} is
     exact by construction.  Replay is entry-driven, so {!replay_batch}
     decodes the compact trace once while K independent cores consume it
-    in lockstep, each with a superblock timing memo on its state.  See
+    block by block, each with a block timing memo on its state.  See
     DESIGN.md §14 for the trace format and safety conditions, §18 for
     the memo. *)
 
@@ -18,13 +18,14 @@ open Rc_isa
     checked once up front). *)
 val record : Config.t -> Image.t -> Machine.result * Dtrace.t option
 
-(** Cumulative superblock-timing-memo counters (DESIGN.md §18): each
-    memoisable-segment visit lands in exactly one of [m_hits] (served
-    by a memo probe), [m_misses] (replayed per-entry and recorded into
-    the memo) or [m_fallbacks] (replayed per-entry because the visit
-    was ineligible — halting segment, fuel boundary, or signature/value
-    overflow); [m_bytes] approximates the memo tables' heap
-    footprint.  Pass one record to several replay calls to aggregate. *)
+(** Cumulative block-timing-memo counters (DESIGN.md §18): each
+    memoisable-block visit lands in exactly one of [m_hits] (served by
+    a memo probe), [m_misses] (replayed per-entry and recorded into the
+    memo) or [m_fallbacks] (replayed per-entry because the visit was
+    ineligible — halting block, fuel boundary, or signature/effect
+    overflow); [m_bytes] adds the exact heap size of each memo table
+    at the end of its replay call.  Pass one record to several replay
+    calls to aggregate. *)
 type memo_stats = {
   mutable m_hits : int;
   mutable m_misses : int;
@@ -39,11 +40,11 @@ val memo_stats : unit -> memo_stats
     trace was recorded from this image under matching semantic knobs
     (reset model, register-file shapes, no traps); timing knobs — issue
     rate, channels, latencies, extra stage, connect dispatch — are free.
-    [memo] (default true) enables the superblock timing memo: repeated
-    visits to a straight-line segment in an already-seen timing state
-    are served by one hash probe instead of the per-instruction blocker
-    loop, with an exact per-entry fallback whenever a visit does not
-    fit the memo — results are bit-identical either way.  [stats]
+    [memo] (default true) enables the block timing memo: repeated
+    visits to a basic block in an already-seen timing state are served
+    by one probe instead of the per-instruction blocker loop, with an
+    exact per-entry fallback whenever a visit does not fit the memo —
+    results are bit-identical either way.  [stats]
     accumulates the memo counters.
     @raise Machine.Simulation_error on fuel exhaustion or a trace that
     ends before [halt]. *)
@@ -56,9 +57,9 @@ val replay :
   Machine.result
 
 (** [replay_batch cfgs image trace] re-times [trace] under every
-    configuration of [cfgs] in one pass over the trace: each distinct
-    superblock is decoded exactly once and every block advances all K
-    timing states before the next is decoded.  Equivalent to
+    configuration of [cfgs] in one pass over the trace: the token
+    stream is decoded once, and every block advances all K timing
+    states before the next is decoded.  Equivalent to
     [Array.map (fun c -> replay c image trace) cfgs] — bit-identical
     results, enforced by [test/t_replay.ml] — at roughly the decode
     cost of a single replay.  [memo]/[stats] as {!replay}; each state
@@ -72,3 +73,12 @@ val replay_batch :
   Image.t ->
   Dtrace.t ->
   Machine.result array
+
+(** The memo table of one replay state. *)
+type memo
+
+(** Test hook: {!replay} with the memo on, returning the state's memo
+    table as it stands at the end, for checking [m_bytes] against the
+    runtime's own count of its heap words. *)
+val replay_memo :
+  ?stats:memo_stats -> Config.t -> Image.t -> Dtrace.t -> Machine.result * memo

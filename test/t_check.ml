@@ -480,6 +480,61 @@ let test_lockstep_reports_lowest () =
     (Some (Fmt.str "mem[0x%x]: machine 97, oracle 0" top))
     (Lockstep.mem_mismatch m o)
 
+(* The lockstep loop compares only the output emitted since its last
+   check, yet reports what a whole comparison does: after a thousand
+   correct values, checked one cycle at a time, a cycle that emits two
+   wrong values reports the lower, and an extra value reports the
+   counts. *)
+let test_lockstep_output_since_last_check () =
+  let ifile = Reg.core_only 32 and ffile = Reg.core_only 16 in
+  let cfg = Rc_machine.Config.v ~ifile ~ffile () in
+  let mc = Mcode.create ~entry:"main" in
+  Mcode.add_func mc
+    {
+      Mcode.name = "main";
+      entry_label = 0;
+      blocks = [ { Mcode.label = 0; insns = [ Insn.halt () ] } ];
+    };
+  let image = Image.assemble mc in
+  let state = Alcotest.(option (pair string string)) in
+  let run ~plant =
+    let m = Rc_machine.Machine.create cfg image
+    and o = Rc_interp.Iexec.create ~ifile ~ffile image in
+    m.Rc_machine.Machine.out <- Array.make 2048 0L;
+    let emit ~machine ~oracle =
+      m.Rc_machine.Machine.out.(m.Rc_machine.Machine.out_len) <- machine;
+      m.Rc_machine.Machine.out_len <- m.Rc_machine.Machine.out_len + 1;
+      match oracle with
+      | Some v -> o.Rc_interp.Iexec.out_rev <- v :: o.Rc_interp.Iexec.out_rev
+      | None -> ()
+    in
+    let seen = Lockstep.seen () in
+    for v = 1 to 1000 do
+      emit ~machine:(Int64.of_int v) ~oracle:(Some (Int64.of_int v));
+      Alcotest.check state "correct values agree" None
+        (Lockstep.compare_state ~seen m o)
+    done;
+    plant emit;
+    (Lockstep.compare_state ~seen m o, Lockstep.compare_state m o)
+  in
+  let since, whole =
+    run ~plant:(fun emit ->
+        emit ~machine:1001L ~oracle:(Some 1001L);
+        emit ~machine:7L ~oracle:(Some 1002L);
+        emit ~machine:8L ~oracle:(Some 1003L))
+  in
+  Alcotest.check state "lowest new difference"
+    (Some ("output", "output[1001]: machine 7, oracle 1002"))
+    since;
+  Alcotest.check state "as the whole comparison reports" whole since;
+  let since, whole =
+    run ~plant:(fun emit -> emit ~machine:1001L ~oracle:None)
+  in
+  Alcotest.check state "an extra value"
+    (Some ("output", "machine emitted 1001 values, oracle 1000"))
+    since;
+  Alcotest.check state "as the whole comparison reports counts" whole since
+
 let suite =
   [
     ("generator accepted by pipeline", `Slow, test_generator_accepted);
@@ -494,4 +549,5 @@ let suite =
     ("cli error messages distinct", `Quick, test_arg_messages_distinct);
     ("corpus replay", `Quick, test_corpus_replay);
     ("lockstep reports the lowest difference", `Quick, test_lockstep_reports_lowest);
+    ("lockstep compares only new output", `Quick, test_lockstep_output_since_last_check);
   ]

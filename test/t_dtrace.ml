@@ -93,11 +93,12 @@ let test_extremes () =
 
 (* Random mixtures of compressible straight-line stretches and
    arbitrary literal entries (backward jumps, map toggles, register
-   overrides), against random architectural tables.  A random entry is
-   also sabotaged each trial: the copy must differ exactly there and
-   nowhere else. *)
-let test_fuzz () =
+   overrides), against random architectural tables: per trial the
+   table, the entries, an output stream and an entry index to
+   sabotage. *)
+let fuzz_trials () =
   let st = Random.State.make [| 0x5eed; 14 |] in
+  let trials = ref [] in
   for trial = 0 to 24 do
     let code_len = 1 + Random.State.int st 64 in
     let mk () =
@@ -135,25 +136,33 @@ let test_fuzz () =
         (Random.State.int st 6)
         (fun i -> Int64.of_int ((i * 1234567) - 42))
     in
-    let name = Fmt.str "fuzz/%d" trial in
-    let t = roundtrip name arch es ~output ~checksum:0x9E3779B9L in
-    (* plant a divergence and require it to surface exactly once *)
-    let i = Random.State.int st n in
-    let orig = (Dtrace.entries arch t).(i) in
-    let swapped =
-      Dtrace.pack ~pc:(Dtrace.pc orig) ~sp0:(Dtrace.sp0 orig)
-        ~sp1:(Dtrace.sp1 orig) ~dp:(Dtrace.dp orig)
-        ~map_on:(not (Dtrace.map_on orig))
-        ~taken:(Dtrace.taken orig)
-    in
-    let bad = Dtrace.entries arch (Dtrace.sabotage arch t i swapped) in
-    List.iteri
-      (fun j e ->
-        let want = if j = i then swapped else e in
-        if bad.(j) <> want then
-          Alcotest.failf "%s: sabotage at %d corrupted entry %d" name i j)
-      es
-  done
+    let sabotage_at = Random.State.int st n in
+    trials := (trial, arch, es, output, sabotage_at) :: !trials
+  done;
+  List.rev !trials
+
+(* Every trial round-trips, and a random entry sabotaged in it must
+   differ exactly there and nowhere else. *)
+let test_fuzz () =
+  List.iter
+    (fun (trial, arch, es, output, i) ->
+      let name = Fmt.str "fuzz/%d" trial in
+      let t = roundtrip name arch es ~output ~checksum:0x9E3779B9L in
+      let orig = (Dtrace.entries arch t).(i) in
+      let swapped =
+        Dtrace.pack ~pc:(Dtrace.pc orig) ~sp0:(Dtrace.sp0 orig)
+          ~sp1:(Dtrace.sp1 orig) ~dp:(Dtrace.dp orig)
+          ~map_on:(not (Dtrace.map_on orig))
+          ~taken:(Dtrace.taken orig)
+      in
+      let bad = Dtrace.entries arch (Dtrace.sabotage arch t i swapped) in
+      List.iteri
+        (fun j e ->
+          let want = if j = i then swapped else e in
+          if bad.(j) <> want then
+            Alcotest.failf "%s: sabotage at %d corrupted entry %d" name i j)
+        es)
+    (fuzz_trials ())
 
 (* --- exact resident size -------------------------------------------------- *)
 
@@ -273,6 +282,71 @@ let test_serialize_rejects () =
   Bytes.set_int64_le b 0 (-1L);
   reject "a negative n" (Bytes.unsafe_to_string b)
 
+(* --- block decoding ----------------------------------------------------------- *)
+
+(* The blocks [next_block] yields must tile the trace: their entries,
+   concatenated, are exactly [entries]; and a block identity must
+   determine its entries, since the replay memo keys on it.  Within a
+   block, only the last entry may be taken and the map bit is
+   constant (block_entry builds consecutive pcs). *)
+let check_blocks name arch t =
+  let all = Dtrace.entries arch t in
+  let bc = Dtrace.bcursor arch t in
+  let seen = Hashtbl.create 64 in
+  let i = ref 0 in
+  while Dtrace.bidx bc < t.Dtrace.n do
+    let b = Dtrace.next_block bc in
+    let es = Array.init b.Dtrace.len (Dtrace.block_entry b) in
+    Array.iteri
+      (fun j e ->
+        if !i + j >= Array.length all || all.(!i + j) <> e then
+          Alcotest.failf "%s: block %d (id %d) entry %d is %#x, trace has %#x"
+            name !i b.Dtrace.id j e
+            (if !i + j < Array.length all then all.(!i + j) else -1);
+        if j < b.Dtrace.len - 1 && Dtrace.taken e then
+          Alcotest.failf "%s: taken entry inside block at %d" name (!i + j))
+      es;
+    (match Hashtbl.find_opt seen b.Dtrace.id with
+    | None -> Hashtbl.add seen b.Dtrace.id es
+    | Some es' ->
+        if es <> es' then
+          Alcotest.failf "%s: two visits of block id %d differ (at entry %d)"
+            name b.Dtrace.id !i);
+    i := !i + b.Dtrace.len
+  done;
+  Alcotest.(check int) (name ^ ": blocks cover the trace") t.Dtrace.n !i;
+  Alcotest.(check int)
+    (name ^ ": ids are dense")
+    (Hashtbl.length seen) (Dtrace.bsegs bc)
+
+let test_blocks_fuzz () =
+  List.iter
+    (fun (trial, arch, es, output, _) ->
+      let t = build arch es ~output ~checksum:0L in
+      check_blocks (Fmt.str "blocks/fuzz/%d" trial) arch t)
+    (fuzz_trials ())
+
+let test_blocks_kernels () =
+  List.iter
+    (fun (b : Wutil.bench) ->
+      List.iter
+        (fun rc ->
+          let opts =
+            Experiments.reg_opts b ~label:(Experiments.small_label b) ~rc ()
+          in
+          let c = Pipeline.compile opts (b.Wutil.build 1) in
+          let _, tr = Pipeline.simulate_recorded c in
+          let tr = Option.get tr in
+          let cfg = Pipeline.machine_config opts in
+          let arch =
+            Dtrace.arch_of_dins
+              (Rc_isa.Dins.decode ~lat:cfg.Rc_machine.Config.lat
+                 c.Pipeline.image.Rc_isa.Image.code)
+          in
+          check_blocks (Fmt.str "blocks/%s/rc=%b" b.Wutil.name rc) arch tr)
+        [ false; true ])
+    (Registry.all ())
+
 let suite =
   [
     ("run-length boundaries round-trip", `Quick, test_runs);
@@ -282,4 +356,6 @@ let suite =
     ("wire serialization round-trips", `Quick, test_serialize_roundtrip);
     ("wire deserialization rejects bad framing", `Quick, test_serialize_rejects);
     ("≥4x smaller than packed ints on every kernel", `Slow, test_compression);
+    ("blocks tile random streams", `Quick, test_blocks_fuzz);
+    ("blocks tile every kernel's trace", `Slow, test_blocks_kernels);
   ]

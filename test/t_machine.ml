@@ -887,6 +887,30 @@ let test_execute_allocation () =
           per_insn)
     [ "espresso"; "tomcatv" ]
 
+(* Under 1-cycle connects the timing core keeps this cycle's map-table
+   touches as packed ints in a reused buffer, so execution with RC
+   allocates no more than without: a list cell per connect entry would
+   cost several words per connect issued. *)
+let test_execute_allocation_connect1 () =
+  List.iter
+    (fun name ->
+      let b = Rc_workloads.Registry.find name in
+      let opts =
+        Rc_harness.Pipeline.options ~rc:true ~core_int:16 ~core_float:16
+          ~lat:(Latency.v ~connect:1 ()) ()
+      in
+      let c = Rc_harness.Pipeline.compile opts (b.Rc_workloads.Wutil.build 1) in
+      let cfg = Rc_harness.Pipeline.machine_config opts in
+      let w0 = Gc.minor_words () in
+      let r = M.run cfg c.Rc_harness.Pipeline.image in
+      let words = Gc.minor_words () -. w0 in
+      let per_insn = words /. float_of_int r.M.issued in
+      if r.M.connects = 0 then Alcotest.failf "%s: no connects issued" name;
+      if per_insn >= 0.5 then
+        Alcotest.failf "%s: %.2f minor words per issued instruction" name
+          per_insn)
+    [ "cccp"; "compress"; "yacc"; "espresso" ]
+
 let test_bad_memory_access () =
   let insns =
     [ Insn.li ~dst:8 (-64L); Insn.ld ~dst:9 ~base:8 ~off:0 (); Insn.halt () ]
@@ -965,4 +989,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_slot_invariant;
     ("pipeline options reject core register counts", `Quick, test_options_reject_core_counts);
     ("execution allocates almost nothing", `Quick, test_execute_allocation);
+    ("execution under 1-cycle connects allocates almost nothing", `Quick, test_execute_allocation_connect1);
   ]

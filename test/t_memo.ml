@@ -1,8 +1,8 @@
-(* The superblock timing memo (DESIGN.md §18): memoised replay must be
+(* The block timing memo (DESIGN.md §18): memoised replay must be
    bit-identical to unmemoised replay and to execution-driven
    simulation — on real kernels, on generated programs across the full
    fuzz grid, and under every fallback condition the memo can take
-   (long-latency writes straddling a segment end, taken-branch
+   (long-latency writes straddling a block end, taken-branch
    redirects, map-table mutations, signature overflow, the fuel
    boundary). *)
 
@@ -72,7 +72,7 @@ let test_gen_grid () =
 
 (* --- fallback conditions, one targeted test each ------------------------- *)
 
-(* Long-latency loads whose scoreboard writes straddle superblock ends:
+(* Long-latency loads whose scoreboard writes straddle block ends:
    the residues must round-trip through the out-signature exactly. *)
 let test_straddling_latency () =
   let stats = Trace_replay.memo_stats () in
@@ -84,9 +84,10 @@ let test_straddling_latency () =
     "long-latency replay exercised the memo" true
     (stats.Trace_replay.m_hits > 0)
 
-(* Taken-branch redirects: taken branches are literal entries, outside
-   every superblock, so the memo must stay exact around redirect
-   penalties (and with the extra mapping stage's larger penalty). *)
+(* Taken-branch redirects: a taken branch ends its block, and the
+   block's identity carries the outcome, so a memoised visit replays
+   the redirect penalty inside its effect.  The memo must stay exact
+   around it (and with the extra mapping stage's larger penalty). *)
 let test_redirects () =
   let stats = Trace_replay.memo_stats () in
   let b = Registry.find "grep" in
@@ -103,7 +104,7 @@ let test_redirects () =
 
 (* Map-table mutations: literal entries with register deltas update the
    cursor's prediction tables, so the block cursor must version its
-   segment identities — a stale memo entry would re-time the wrong
+   block identities — a stale memo entry would re-time the wrong
    resolved registers.  Model 3's read-map updates make such literals
    common. *)
 let test_map_mutation () =
@@ -138,7 +139,7 @@ let test_signature_overflow () =
   Alcotest.(check int) "no memo probe fits the signature" 0
     stats.Trace_replay.m_hits;
   Alcotest.(check bool)
-    "every superblock visit fell back" true
+    "every block visit fell back" true
     (stats.Trace_replay.m_fallbacks > 0)
 
 (* The fuel boundary: a memo hit may never carry the clock past the
@@ -183,7 +184,7 @@ let test_fuel_boundary () =
     (exhausts (fun () -> Trace_replay.replay ~memo:false short image tr))
 
 (* Loop-dominated kernels are the memo's reason to exist: repeated
-   visits to the same superblock in the same timing state must mostly
+   visits to the same block in the same timing state must mostly
    hit. *)
 let test_loops_hit () =
   let stats = Trace_replay.memo_stats () in
@@ -197,6 +198,111 @@ let test_loops_hit () =
     true
     (stats.Trace_replay.m_hits > stats.Trace_replay.m_misses)
 
+(* The branchy kernels — short blocks, most of them ending in a taken
+   branch — over the timing knobs that change what a block's effect
+   is: issue width, connect latency (the pending map entries), the
+   extra stage (the redirect penalty) and the four reset models (the
+   connects' register traffic).  Every cell: memo ≡ plain ≡ execute,
+   and across the grid the memo must mostly hit. *)
+let test_branchy_grid () =
+  let stats = Trace_replay.memo_stats () in
+  List.iter
+    (fun name ->
+      let b = Registry.find name in
+      List.iter
+        (fun model ->
+          List.iter
+            (fun issue ->
+              List.iter
+                (fun connect ->
+                  List.iter
+                    (fun extra_stage ->
+                      let lat = Rc_isa.Latency.v ~connect () in
+                      check_cell ~stats
+                        (Fmt.str "memo/%s/m%d/i%d/c%d%s" name
+                           (Rc_core.Model.number model) issue connect
+                           (if extra_stage then "+st" else ""))
+                        (compile b
+                           (Experiments.reg_opts b ~label:16 ~rc:true ~issue
+                              ~lat ~model ~extra_stage ())))
+                    [ false; true ])
+                [ 0; 1 ])
+            [ 1; 2; 4; 8 ])
+        Rc_core.Model.all)
+    [ "cccp"; "compress"; "yacc" ];
+  Alcotest.(check bool)
+    (Fmt.str "hits above misses (%d hits, %d misses)"
+       stats.Trace_replay.m_hits stats.Trace_replay.m_misses)
+    true
+    (stats.Trace_replay.m_hits > stats.Trace_replay.m_misses)
+
+(* [m_bytes] claims the memo tables' exact heap size: check it against
+   the runtime's own count of every block reachable from the table,
+   headers included — for one state, and summed over a batch. *)
+let test_memo_bytes_exact () =
+  List.iter
+    (fun (name, rc) ->
+      let b = Registry.find name in
+      let c = compile b (Experiments.reg_opts b ~label:16 ~rc ()) in
+      let r_exec, tr = Pipeline.simulate_recorded c in
+      let tr = Option.get tr in
+      let cfg = Pipeline.machine_config c.Pipeline.opts in
+      let image = c.Pipeline.image in
+      let stats = Trace_replay.memo_stats () in
+      let r, memo = Trace_replay.replay_memo ~stats cfg image tr in
+      (match divergence (name ^ "/bytes") r_exec r with
+      | None -> ()
+      | Some msg -> Alcotest.fail msg);
+      let words = Obj.reachable_words (Obj.repr memo) in
+      Alcotest.(check int)
+        (Fmt.str "%s rc=%b: m_bytes = heap words reachable from the memo" name
+           rc)
+        (8 * words) stats.Trace_replay.m_bytes;
+      let batch = Trace_replay.memo_stats () in
+      ignore
+        (Trace_replay.replay_batch ~stats:batch
+           [| cfg; { cfg with Rc_machine.Config.issue = 2 } |]
+           image tr);
+      let _, memo2 =
+        Trace_replay.replay_memo
+          { cfg with Rc_machine.Config.issue = 2 }
+          image tr
+      in
+      Alcotest.(check int)
+        (Fmt.str "%s rc=%b: a batch sums its states' memos" name rc)
+        (8 * (words + Obj.reachable_words (Obj.repr memo2)))
+        batch.Trace_replay.m_bytes)
+    [ ("cccp", false); ("compress", true); ("matrix300", true) ]
+
+(* Replay allocates nothing per instruction, with the memo on or off:
+   a run's minor allocation is its fixed set-up (predecode, tables,
+   output list), well under half a word per simulated instruction.  A
+   value boxed or a signature built on the hot path costs words per
+   instruction that reaches it. *)
+let test_replay_allocation () =
+  List.iter
+    (fun name ->
+      List.iter
+        (fun rc ->
+          let b = Registry.find name in
+          let c = compile b (Experiments.reg_opts b ~label:16 ~rc ()) in
+          let _, tr = Pipeline.simulate_recorded c in
+          let tr = Option.get tr in
+          let cfg = Pipeline.machine_config c.Pipeline.opts in
+          List.iter
+            (fun memo ->
+              let w0 = Gc.minor_words () in
+              let r = Trace_replay.replay ~memo cfg c.Pipeline.image tr in
+              let words = Gc.minor_words () -. w0 in
+              let per_insn = words /. float_of_int r.Rc_machine.Machine.issued in
+              if per_insn >= 0.5 then
+                Alcotest.failf
+                  "%s rc=%b memo=%b: %.2f minor words per simulated instruction"
+                  name rc memo per_insn)
+            [ true; false ])
+        [ false; true ])
+    [ "cccp"; "compress"; "yacc"; "espresso" ]
+
 let suite =
   [
     ("generator programs x fuzz grid: memo ≡ plain ≡ execute", `Slow, test_gen_grid);
@@ -206,4 +312,7 @@ let suite =
     ("signature overflow falls back exactly", `Quick, test_signature_overflow);
     ("fuel boundary falls back exactly", `Quick, test_fuel_boundary);
     ("loop kernels mostly hit", `Quick, test_loops_hit);
+    ("branchy kernels x timing grid: memo ≡ plain ≡ execute", `Slow, test_branchy_grid);
+    ("memo bytes are exact", `Quick, test_memo_bytes_exact);
+    ("replay allocates almost nothing", `Quick, test_replay_allocation);
   ]

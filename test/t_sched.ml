@@ -246,6 +246,152 @@ let qcheck_random_blocks =
       let scheduled = S.schedule_block cfg (Array.copy original) in
       valid_schedule original scheduled)
 
+(* --- equal to the reference scheduler --------------------------------------- *)
+
+(* [Sched_ref] keeps the scheduler as it stood before its ready heaps
+   and edge stamps.  The rule is unchanged, so the orders must be
+   equal, record for record. *)
+let same_order cfg insns =
+  let a = S.schedule_block cfg (Array.copy insns)
+  and b = Sched_ref.schedule_block cfg (Array.copy insns) in
+  Array.length a = Array.length b && Array.for_all2 ( == ) a b
+
+(* The sweep's scheduler settings: issue 1, 2, 4 and 8 with their
+   default channels, 2 and 4 channels at 4-issue, 2- and 4-cycle
+   loads. *)
+let sweep_configs =
+  List.concat_map
+    (fun load ->
+      let lat = Latency.v ~load () in
+      List.map
+        (fun (width, mem_channels) -> S.config ~width ~mem_channels ~lat ())
+        [ (1, 2); (2, 2); (4, 2); (4, 4); (8, 4) ])
+    [ 2; 4 ]
+
+let test_reference_kernel_blocks () =
+  let blocks = ref 0 in
+  List.iter
+    (fun (b : Rc_workloads.Wutil.bench) ->
+      List.iter
+        (fun opt ->
+          let prep =
+            Rc_harness.Pipeline.prepare ~opt (b.Rc_workloads.Wutil.build 1)
+          in
+          List.iter
+            (fun opts ->
+              let a = Rc_harness.Pipeline.allocate opts prep in
+              List.iter
+                (fun (f : Mcode.func) ->
+                  List.iter
+                    (fun (blk : Mcode.block) ->
+                      let insns = Array.of_list blk.Mcode.insns in
+                      incr blocks;
+                      List.iter
+                        (fun (cfg : S.config) ->
+                          if not (same_order cfg insns) then
+                            Alcotest.failf
+                              "%s: block %d (%d insns) scheduled differently \
+                               at width %d, %d channels, load %d"
+                              b.Rc_workloads.Wutil.name blk.Mcode.label
+                              (Array.length insns) cfg.S.width
+                              cfg.S.mem_channels cfg.S.lat.Latency.load)
+                        sweep_configs)
+                    f.Mcode.blocks)
+                a.Rc_harness.Pipeline.a_mcode.Mcode.funcs)
+            [
+              Rc_harness.Pipeline.options ~opt ~rc:false ~core_int:16
+                ~core_float:16 ();
+              Rc_harness.Pipeline.options ~opt ~rc:true ~core_int:16
+                ~core_float:16 ();
+              Rc_harness.Experiments.reg_opts b
+                ~label:(Rc_harness.Experiments.small_label b)
+                ~rc:true ~opt ();
+            ])
+        [ Rc_opt.Pass.Classical; Rc_opt.Pass.Ilp Rc_opt.Pass.default_unroll ])
+    (Rc_workloads.Registry.all ());
+  check_bool "kernel blocks compared" true (!blocks > 0)
+
+(* Random blocks mixing what the dependence graph distinguishes: RAW,
+   WAR and WAW chains, SP slots of both widths, SP redefinitions,
+   stores and loads through other bases, emits, calls, and pinned
+   terminators. *)
+let qcheck_reference_random_blocks =
+  let r n = QCheck.Gen.int_range 0 n in
+  let insn_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            map3
+              (fun d s1 s2 ->
+                Insn.alu Opcode.Add ~dst:(8 + d) ~s1:(8 + s1) ~s2:(8 + s2))
+              (r 7) (r 7) (r 7) );
+          ( 1,
+            map3
+              (fun d s1 s2 ->
+                Insn.alu Opcode.Mul ~dst:(8 + d) ~s1:(8 + s1) ~s2:(8 + s2))
+              (r 7) (r 7) (r 7) );
+          ( 1,
+            map3
+              (fun d s1 s2 ->
+                Insn.fpu Opcode.Fadd ~dst:(8 + d) ~s1:(8 + s1) ~s2:(8 + s2))
+              (r 3) (r 3) (r 3) );
+          ( 2,
+            map2
+              (fun d off -> Insn.ld ~dst:(8 + d) ~base:Reg.sp ~off:(8 * off) ())
+              (r 7) (r 3) );
+          ( 1,
+            map2
+              (fun d off ->
+                Insn.ld ~width:Opcode.W1 ~dst:(8 + d) ~base:Reg.sp ~off ())
+              (r 7) (r 31) );
+          ( 2,
+            map3
+              (fun d b off -> Insn.ld ~dst:(8 + d) ~base:(8 + b) ~off:(8 * off) ())
+              (r 7) (r 7) (r 3) );
+          ( 2,
+            map2
+              (fun s off -> Insn.st ~src:(8 + s) ~base:Reg.sp ~off:(8 * off) ())
+              (r 7) (r 3) );
+          ( 1,
+            map3
+              (fun s b off -> Insn.st ~src:(8 + s) ~base:(8 + b) ~off:(8 * off) ())
+              (r 7) (r 7) (r 3) );
+          ( 1,
+            map2
+              (fun s off -> Insn.fst_ ~src:(8 + s) ~base:Reg.sp ~off:(8 * off) ())
+              (r 3) (r 3) );
+          (1, return (Insn.alui Opcode.Sub ~dst:Reg.sp ~s1:Reg.sp ~imm:16L));
+          (1, map (fun s -> Insn.emit ~src:(8 + s)) (r 7));
+          (1, map (fun d -> Insn.li ~dst:(8 + d) 7L) (r 7));
+          (1, return (Insn.jsr 3));
+        ])
+  in
+  let block_gen =
+    QCheck.Gen.(
+      map2
+        (fun body term ->
+          body
+          @
+          match term with
+          | 0 -> []
+          | 1 -> [ Insn.jmp 9 ]
+          | _ ->
+              [ Insn.br Opcode.Lt ~s1:8 ~s2:9 ~target:7 ~hint:false; Insn.jmp 9 ])
+        (list_size (int_range 0 60) insn_gen)
+        (int_range 0 2))
+  in
+  let cfg_gen =
+    QCheck.Gen.(
+      map3
+        (fun width mem_channels load ->
+          S.config ~width ~mem_channels ~lat:(Latency.v ~load ()) ())
+        (int_range 1 8) (int_range 1 4) (int_range 1 6))
+  in
+  QCheck.Test.make ~count:500 ~name:"random blocks schedule as the reference"
+    (QCheck.make QCheck.Gen.(pair block_gen cfg_gen))
+    (fun (insns, cfg) -> same_order cfg (Array.of_list insns))
+
 let suite =
   [
     ("RAW edge", `Quick, test_raw_edge);
@@ -264,4 +410,6 @@ let suite =
     ("schedule hides latency", `Quick, test_schedule_fills_latency);
     ("workload blocks schedule validly", `Quick, test_schedule_workload_blocks);
     QCheck_alcotest.to_alcotest qcheck_random_blocks;
+    ("kernel blocks schedule as the reference", `Slow, test_reference_kernel_blocks);
+    QCheck_alcotest.to_alcotest qcheck_reference_random_blocks;
   ]
