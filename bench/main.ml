@@ -14,9 +14,6 @@
                                experiment and total, with the trace-cache
                                and timing-memo counters) to a
                                machine-readable JSON log
-     main.exe --keep 9         with --save: trim the log to the newest
-                               9 runs per engine at write time (default:
-                               keep all)
      main.exe --store DIR      on-disk trace store: recorded traces
                                persist and later runs replay from disk
      main.exe --save sweep.json --assert-replay-dominates
@@ -48,7 +45,7 @@ let print_experiment ctx id =
 
 (** Append one run record to the JSON list in [path] (created if absent;
     an unreadable or non-list file is replaced, with a warning). *)
-let save_sweep path ~scale ~jobs ~engine ~total_s ~timings ~stats ~keep =
+let save_sweep path ~scale ~jobs ~engine ~total_s ~timings ~stats =
   let open Rc_obs.Json in
   let previous =
     if not (Sys.file_exists path) then []
@@ -78,65 +75,20 @@ let save_sweep path ~scale ~jobs ~engine ~total_s ~timings ~stats ~keep =
             (List.map
                (fun (id, s) -> Obj [ ("id", Str id); ("wall_s", Float s) ])
                timings) );
-        ( "trace_cache",
-          Obj
-            [
-              ("hits", Int stats.Rc_harness.Experiments.hits);
-              ("misses", Int stats.Rc_harness.Experiments.misses);
-              ("recorded", Int stats.Rc_harness.Experiments.recorded);
-              ("unsafe", Int stats.Rc_harness.Experiments.unsafe);
-              ("bytes", Int stats.Rc_harness.Experiments.bytes);
-              ("store_hits", Int stats.Rc_harness.Experiments.store_hits);
-              ("seg_hits", Int stats.Rc_harness.Experiments.seg_hits);
-              ("seg_misses", Int stats.Rc_harness.Experiments.seg_misses);
-              ( "seg_fallbacks",
-                Int stats.Rc_harness.Experiments.seg_fallbacks );
-              ("memo_bytes", Int stats.Rc_harness.Experiments.memo_bytes);
-            ] );
+        ("trace_cache", Rc_harness.Experiments.engine_stats_json stats);
       ]
-  in
-  (* --keep N: bound the committed log's growth — retain only the
-     newest N runs per engine (list order is append order).  The
-     default keeps everything. *)
-  let trim runs =
-    match keep with
-    | None -> runs
-    | Some n ->
-        let engine_of r =
-          match Rc_obs.Json.member "engine" r with
-          | Some (Str e) -> e
-          | _ -> ""
-        in
-        let counts = Hashtbl.create 4 in
-        List.iter
-          (fun r ->
-            let e = engine_of r in
-            Hashtbl.replace counts e
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts e)))
-          runs;
-        (* Walk oldest-first, dropping while an engine is over budget. *)
-        List.filter
-          (fun r ->
-            let e = engine_of r in
-            let c = Option.value ~default:0 (Hashtbl.find_opt counts e) in
-            if c > n then begin
-              Hashtbl.replace counts e (c - 1);
-              false
-            end
-            else true)
-          runs
   in
   (* Atomic replacement: a crash (or ENOSPC) mid-write must never
      truncate the accumulated sweep log.  [write_atomic] stages the
      bytes in a temp file in the same directory and renames over the
      destination only after an error-reporting close. *)
-  let kept = trim (previous @ [ run ]) in
+  let runs = previous @ [ run ] in
   Rc_obs.Fsio.write_atomic path (fun oc ->
-      output_string oc (to_string (List kept));
+      output_string oc (to_string (List runs));
       output_char oc '\n');
-  Fmt.epr "sweep timings appended to %s (%d run%s kept)@." path
-    (List.length kept)
-    (if List.length kept = 1 then "" else "s")
+  Fmt.epr "sweep timings appended to %s (%d run%s)@." path
+    (List.length runs)
+    (if List.length runs = 1 then "" else "s")
 
 (* --- --assert-replay-dominates: the perf gate ------------------------- *)
 
@@ -163,7 +115,7 @@ let fail_dominates fmt =
     strictly below the median execute total, and no single experiment's
     median may be slower beyond a small jitter allowance (50 ms or 10%
     of the execute row, whichever is larger — tiny static tables
-    bounce around the timer's noise floor).  The superblock timing
+    bounce around the timer's noise floor).  The basic-block timing
     memo raised the bar from "strictly below" to a real margin: the
     replay median must come in at or below [dominate_factor] of the
     execute median.  Exits 1 with the offending rows otherwise. *)
@@ -270,7 +222,7 @@ let assert_replay_dominates path =
 let usage () =
   Fmt.epr
     "usage: main.exe [--scale N] [--jobs N] [--engine execute|replay|auto] \
-     [--metrics FILE] [--store DIR] [--save FILE [--keep N] \
+     [--metrics FILE] [--store DIR] [--save FILE \
      [--assert-replay-dominates]] [all | <id>...]@.";
   Fmt.epr "experiments: %s@." (String.concat " " ids);
   exit 1
@@ -296,7 +248,6 @@ let () =
   let engine = ref Rc_harness.Experiments.Auto in
   let save = ref None in
   let assert_dom = ref false in
-  let keep = ref None in
   let store_dir = ref None in
   (* Flags may appear before, between or after the experiment ids. *)
   let rec parse acc = function
@@ -348,14 +299,6 @@ let () =
     | "--assert-replay-dominates" :: rest ->
         assert_dom := true;
         parse acc rest
-    | "--keep" :: rest ->
-        let n, rest =
-          match rest with
-          | v :: tl -> (int_flag "--keep" (Some v), tl)
-          | [] -> (int_flag "--keep" None, [])
-        in
-        keep := Some n;
-        parse acc rest
     | "--store" :: rest -> (
         match rest with
         | v :: tl ->
@@ -402,7 +345,7 @@ let () =
       | Some path ->
           (try
              save_sweep path ~scale:!scale ~jobs:!jobs ~engine:!engine
-               ~total_s ~timings ~keep:!keep
+               ~total_s ~timings
                ~stats:(Rc_harness.Experiments.engine_stats ctx)
            with Sys_error m ->
              Fmt.epr "bench: cannot save sweep log: %s@." m;

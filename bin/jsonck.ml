@@ -20,7 +20,7 @@
    and `rcc figures --json` through this).
 
    [--memo-warm] asserts a `rcc figures --json` document's trace_cache
-   shows a warm superblock timing memo: seg_hits must be at least 80%
+   shows a warm block timing memo: seg_hits must be at least 80%
    of all memoisable-segment visits (hits + misses + fallbacks), and
    non-zero.  The memo-smoke alias runs the warm (second) store-backed
    replay pass through this.

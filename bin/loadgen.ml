@@ -29,55 +29,7 @@
 let fail fmt =
   Format.kasprintf (fun m -> prerr_endline ("loadgen: " ^ m); exit 1) fmt
 
-(* --- tiny HTTP/1.1 client (Connection: close per request) ------------- *)
-
-let find_body raw =
-  let rec scan i =
-    if i + 3 >= String.length raw then None
-    else if
-      raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r'
-      && raw.[i + 3] = '\n'
-    then Some (String.sub raw (i + 4) (String.length raw - i - 4))
-    else scan (i + 1)
-  in
-  scan 0
-
-(* Returns (status, body); raises Unix_error on connection trouble. *)
-let http_request ~port ~meth ~path ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "%s %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n%s"
-          meth path (String.length body) body
-      in
-      let rec send off =
-        if off < String.length req then
-          send (off + Unix.write_substring fd req off (String.length req - off))
-      in
-      send 0;
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
-      let rec recv () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            recv ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv ()
-      in
-      recv ();
-      let raw = Buffer.contents buf in
-      match String.index_opt raw ' ' with
-      | None -> failwith "no status line"
-      | Some sp -> (
-          let status = int_of_string (String.sub raw (sp + 1) 3) in
-          match find_body raw with
-          | Some b -> (status, b)
-          | None -> failwith "no header/body separator"))
+module C = Serve_client
 
 (* --- request mixes ----------------------------------------------------- *)
 
@@ -98,18 +50,16 @@ let figures_shot =
 
 let healthz_shot = { sh_meth = "GET"; sh_path = "/healthz"; sh_body = "" }
 
-(* A small fixed kernel spec, exercising the user-submission path:
+(* The reference kernel spec, exercising the user-submission path:
    /compile admission plus /run with the spec inline.  Inline specs
    carry no cross-request state, so the shots stay valid under prefork
    servers where consecutive requests land on different workers. *)
-let spec_doc =
-  {|{"seed":0,"slots":8,"funcs":[{"arity":0,"nvars":2,"nfvars":1,"body":[["set",0,["const","1"]],["loop",1,6,[["set",0,["bin","add",["var",0],["var",1]]],["store",1,["var",0]],["load",1,1]]],["emit",["var",0]]]}]}|}
-
 let spec_shots =
   [
-    { sh_meth = "POST"; sh_path = "/compile"; sh_body = spec_doc };
-    run_shot (Printf.sprintf {|{"spec":%s}|} spec_doc);
-    run_shot (Printf.sprintf {|{"spec":%s,"rc":true,"core_int":8}|} spec_doc);
+    { sh_meth = "POST"; sh_path = "/compile"; sh_body = C.spec_doc };
+    run_shot (Printf.sprintf {|{"spec":%s}|} C.spec_doc);
+    run_shot
+      (Printf.sprintf {|{"spec":%s,"rc":true,"core_int":8}|} C.spec_doc);
   ]
 
 let mix_of_name = function
@@ -231,7 +181,7 @@ let drive ~port ~rps ~duration ~concurrency ~mix =
         let shot = shots.(k mod Array.length shots) in
         let start = Unix.gettimeofday () in
         match
-          http_request ~port ~meth:shot.sh_meth ~path:shot.sh_path
+          C.request ~port ~meth:shot.sh_meth ~path:shot.sh_path
             ~body:shot.sh_body ()
         with
         | status, _body ->
@@ -255,7 +205,7 @@ let number_member name j =
 
 (* endpoint -> (p50_ms, p99_ms) from the server's /metrics.json. *)
 let server_quantiles ~port =
-  let status, body = http_request ~port ~meth:"GET" ~path:"/metrics.json" () in
+  let status, body = C.request ~port ~meth:"GET" ~path:"/metrics.json" () in
   if status <> 200 then fail "/metrics.json: status %d" status;
   let j =
     match Rc_obs.Json.of_string body with
@@ -279,61 +229,6 @@ let server_quantiles ~port =
 
 let agree ~tol_ms ~tol_pct c s =
   Float.abs (c -. s) <= tol_ms +. (tol_pct /. 100.0 *. Float.max c s)
-
-(* --- spawn mode -------------------------------------------------------- *)
-
-let spawn_server rcc ~jobs ~workers ~store =
-  let rcc =
-    if Filename.is_implicit rcc then Filename.concat Filename.current_dir_name rcc
-    else rcc
-  in
-  let err_r, err_w = Unix.pipe ~cloexec:false () in
-  let argv =
-    [ rcc; "serve"; "--port"; "0"; "--jobs"; string_of_int jobs; "--quiet" ]
-    @ (if workers > 1 then [ "--workers"; string_of_int workers ] else [])
-    @ (match store with None -> [] | Some dir -> [ "--store"; dir ])
-  in
-  let pid =
-    Unix.create_process rcc (Array.of_list argv) Unix.stdin Unix.stdout err_w
-  in
-  Unix.close err_w;
-  let err_ic = Unix.in_channel_of_descr err_r in
-  let port =
-    let rec find () =
-      let line =
-        try input_line err_ic
-        with End_of_file -> fail "spawned server exited before announcing a port"
-      in
-      match
-        Scanf.sscanf_opt line "rcc serve: listening on http://%[^:]:%d"
-          (fun _host p -> p)
-      with
-      | Some p -> p
-      | None -> find ()
-    in
-    find ()
-  in
-  (* Keep the server's stderr pipe drained so it can never block on a
-     full pipe buffer mid-request. *)
-  let drainer =
-    Domain.spawn (fun () ->
-        try
-          while true do
-            ignore (input_line err_ic)
-          done
-        with End_of_file -> ())
-  in
-  let stop () =
-    Unix.kill pid Sys.sigterm;
-    (match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> ()
-    | _, Unix.WEXITED n -> fail "spawned server exited %d" n
-    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
-        fail "spawned server killed by signal %d" n);
-    Domain.join drainer;
-    close_in_noerr err_ic
-  in
-  (port, stop)
 
 (* --- report ------------------------------------------------------------ *)
 
@@ -472,13 +367,26 @@ let main url spawn rps duration concurrency server_jobs server_workers
         in
         (port, fun () -> ())
     | None, Some rcc ->
-        let port, stop =
-          spawn_server rcc ~jobs:server_jobs ~workers:server_workers
-            ~store:server_store
+        let srv =
+          try
+            C.spawn rcc
+              ([ "--jobs"; string_of_int server_jobs; "--quiet" ]
+              @ (if server_workers > 1 then
+                   [ "--workers"; string_of_int server_workers ]
+                 else [])
+              @ match server_store with None -> [] | Some d -> [ "--store"; d ])
+          with Failure m -> fail "%s" m
         in
-        Fmt.epr "loadgen: spawned server on port %d (%d worker(s))@." port
+        Fmt.epr "loadgen: spawned server on port %d (%d worker(s))@." srv.port
           server_workers;
-        (port, stop)
+        let stop () =
+          match C.stop srv with
+          | Unix.WEXITED 0, _ -> ()
+          | Unix.WEXITED n, _ -> fail "spawned server exited %d" n
+          | (Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
+              fail "spawned server killed by signal %d" n
+        in
+        (srv.port, stop)
   in
   Fmt.epr "loadgen: %s mix, %.0f rps for %.1fs over %d domains@." mix_name rps
     duration concurrency;

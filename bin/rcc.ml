@@ -35,11 +35,9 @@ let pos_int ~what =
   in
   Arg.conv (parse, Fmt.int)
 
-(** Core register count of a class: outside the range
-    {!Rc_harness.Pipeline.options} accepts is a usage error. *)
-let core_count cls ~what =
-  let lo = Rc_harness.Pipeline.min_core cls
-  and hi = Rc_harness.Pipeline.max_core in
+(** Integer argument from [lo] to [hi]: anything else is a usage
+    error, never an exception from the library below. *)
+let int_in ~what lo hi =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= lo && n <= hi -> Ok n
@@ -48,6 +46,11 @@ let core_count cls ~what =
           (`Msg (Fmt.str "%s must be an integer in [%d, %d], got %S" what lo hi s))
   in
   Arg.conv (parse, Fmt.int)
+
+(** Core register count of a class, in the range
+    {!Rc_harness.Pipeline.options} accepts. *)
+let core_count cls ~what =
+  int_in ~what (Rc_harness.Pipeline.min_core cls) Rc_harness.Pipeline.max_core
 
 let bench_arg =
   let doc = "Benchmark kernel name (see $(b,rcc list))." in
@@ -125,12 +128,21 @@ let rc =
   Arg.(value & flag & info [ "rc" ] ~doc)
 
 let load_lat =
-  let doc = "Memory load latency in cycles (2 or 4)." in
-  Arg.(value & opt int 2 & info [ "load" ] ~docv:"CYCLES" ~doc)
+  let doc =
+    Fmt.str "Memory load latency in cycles (the paper's are 2 and 4; 1 to %d)."
+      Rc_isa.Latency.max_load
+  in
+  Arg.(
+    value
+    & opt (int_in ~what:"--load" 1 Rc_isa.Latency.max_load) 2
+    & info [ "load" ] ~docv:"CYCLES" ~doc)
 
 let connect_lat =
   let doc = "Connect instruction latency (0 or 1)." in
-  Arg.(value & opt int 0 & info [ "connect" ] ~docv:"CYCLES" ~doc)
+  Arg.(
+    value
+    & opt (int_in ~what:"--connect" 0 1) 0
+    & info [ "connect" ] ~docv:"CYCLES" ~doc)
 
 let mem_channels =
   let doc = "Memory channels per cycle (default: 2, or 4 at 8-issue)." in
@@ -237,20 +249,15 @@ let attach_store ctx =
         ~publish:(Rc_serve.Store.publish st))
 
 (** One-shot timing for $(b,run): the harness's trace-cache policy on a
-    single-domain context with the [store] attached.  Without a store,
-    [replay] times the configuration twice — record, then re-time — to
-    show the engine end to end.  Returns the result and the engine that
-    produced it. *)
-let simulate_one ?store ~scale engine (c : Rc_harness.Pipeline.compiled) =
-  let ctx = Rc_harness.Experiments.create ~scale ~jobs:1 ~engine () in
+    single-domain context with the [store] attached, so a trace a
+    previous process published replays.  Returns the result and the
+    engine that produced it. *)
+let simulate_one ?store ~scale (c : Rc_harness.Pipeline.compiled) =
+  let ctx = Rc_harness.Experiments.create ~scale ~jobs:1 () in
   attach_store ctx store;
   Fun.protect
     ~finally:(fun () -> Rc_harness.Experiments.shutdown ctx)
-    (fun () ->
-      let first = Rc_harness.Experiments.simulate_cell ctx c in
-      if engine = Rc_harness.Experiments.Replay && store = None then
-        Rc_harness.Experiments.simulate_cell ctx c
-      else first)
+    (fun () -> Rc_harness.Experiments.simulate_cell ctx c)
 
 (* CLI knobs to pipeline options — shared with the server's /run
    decoder so both front ends apply identical defaults. *)
@@ -344,8 +351,8 @@ let oracle_of cycles (c : Rc_harness.Pipeline.compiled) =
 
 let run_cmd =
   let run bench spec_file oracle issue core_int core_float rc load connect
-      mem_channels extra_stage model scale no_unroll engine store_dir
-      store_max_bytes json =
+      mem_channels extra_stage model scale no_unroll store_dir store_max_bytes
+      json =
     let opts =
       options_of ~issue ~core_int ~core_float ~rc ~load ~connect ~mem_channels
         ~extra_stage ~model ~no_unroll
@@ -376,7 +383,7 @@ let run_cmd =
             1
         | Ok orc ->
             let store = open_store store_dir store_max_bytes in
-            let r, engine_used = simulate_one ?store ~scale engine c in
+            let r, engine_used = simulate_one ?store ~scale c in
             (match store with
             | None -> ()
             | Some st ->
@@ -410,7 +417,7 @@ let run_cmd =
     Term.(
       const run $ bench_opt_arg $ spec_file_arg $ oracle_arg $ issue
       $ core_int $ core_float $ rc $ load_lat $ connect_lat $ mem_channels
-      $ extra_stage $ model $ scale $ no_unroll $ engine_arg $ store_dir_arg
+      $ extra_stage $ model $ scale $ no_unroll $ store_dir_arg
       $ store_max_bytes_arg $ json_flag)
 
 (* --- compile ---------------------------------------------------------------- *)
@@ -567,8 +574,8 @@ let figures_cmd =
                   || es.Rc_harness.Experiments.seg_fallbacks > 0
                 then
                   Fmt.epr
-                    "timing memo: %d superblock hits, %d misses, %d \
-                     fallbacks (%d memo bytes)@."
+                    "timing memo: %d block hits, %d misses, %d fallbacks \
+                     (%d memo bytes)@."
                     es.Rc_harness.Experiments.seg_hits
                     es.Rc_harness.Experiments.seg_misses
                     es.Rc_harness.Experiments.seg_fallbacks
@@ -669,26 +676,6 @@ let serve_cmd =
       value & opt (Arg.conv (parse, Fmt.float)) 30.0
       & info [ "deadline" ] ~docv:"SECONDS" ~doc)
   in
-  let serve_engine =
-    (* Unlike the one-shot CLI the server defaults to replay: the first
-       request for an image records its trace, the second is re-timed
-       from the cache. *)
-    let doc =
-      "Timing engine for the shared context (default $(b,replay): the \
-       second request for any compiled image is re-timed by trace replay)."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("execute", Rc_harness.Experiments.Execute);
-               ("replay", Rc_harness.Experiments.Replay);
-               ("auto", Rc_harness.Experiments.Auto);
-             ])
-          Rc_harness.Experiments.Replay
-      & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
   let trace_file =
     let doc =
       "Write the retained per-request span traces (what $(b,GET /trace) \
@@ -732,13 +719,16 @@ let serve_cmd =
       & opt (pos_int ~what:"--workers") 1
       & info [ "workers" ] ~docv:"N" ~doc)
   in
+  (* The server times on the replay engine: the first request for an
+     image records its trace, the second is re-timed from the cache. *)
+  let engine = Rc_harness.Experiments.Replay in
   (* One worker process: context, server, signal wiring, drain.
      [announce] is false for prefork workers — the parent already
-     printed the listening line (the smoke drivers parse exactly
-     one). *)
+     printed the listening line (Serve_client.spawn and perfbench
+     parse exactly one). *)
   let serve_one ~announce ?listener ?pending ~host ~port ~jobs ~scale
-      ~engine ~max_inflight ~max_body ~deadline ~trace_file ~slow_ms ~quiet
-      ~store_dir ~store_max_bytes () =
+      ~max_inflight ~max_body ~deadline ~trace_file ~slow_ms ~quiet ~store_dir
+      ~store_max_bytes () =
     (* OCaml 5.1's major-GC pacing falls behind a hot server's mix —
        requests that allocate little on the minor heap beside a few
        large predecode and schedule arrays — and at the default space
@@ -803,12 +793,12 @@ let serve_cmd =
     Rc_harness.Experiments.shutdown ctx;
     0
   in
-  let run host port jobs scale engine max_inflight max_body deadline
-      trace_file slow_ms quiet workers store_dir store_max_bytes =
+  let run host port jobs scale max_inflight max_body deadline trace_file
+      slow_ms quiet workers store_dir store_max_bytes =
     if workers = 1 then
-      serve_one ~announce:true ~host ~port ~jobs ~scale ~engine
-        ~max_inflight ~max_body ~deadline ~trace_file ~slow_ms ~quiet
-        ~store_dir ~store_max_bytes ()
+      serve_one ~announce:true ~host ~port ~jobs ~scale ~max_inflight
+        ~max_body ~deadline ~trace_file ~slow_ms ~quiet ~store_dir
+        ~store_max_bytes ()
     else begin
       (* Prefork: the parent opens the listener and forks [workers]
          children that accept on the shared fd.  The parent must never
@@ -842,7 +832,7 @@ let serve_cmd =
         in
         let code =
           serve_one ~announce:false ~listener:(listener, bound_port) ~host
-            ~port ~jobs ~scale ~engine ~max_inflight ~max_body ~deadline
+            ~port ~jobs ~scale ~max_inflight ~max_body ~deadline
             ~trace_file ~slow_ms ~quiet ~store_dir ~store_max_bytes
             ~pending ()
         in
@@ -932,7 +922,7 @@ let serve_cmd =
           load with 503 beyond --max-inflight and drains gracefully on \
           SIGTERM/SIGINT")
     Term.(
-      const run $ host $ port $ jobs $ scale $ serve_engine $ max_inflight
+      const run $ host $ port $ jobs $ scale $ max_inflight
       $ max_body $ deadline $ trace_file $ slow_ms $ quiet $ workers_arg
       $ store_dir_arg $ store_max_bytes_arg)
 

@@ -48,21 +48,19 @@ let engine_of_string = function
 (** Trace-cache counters: every simulated cell increments exactly one
     of [hits] (timed by replaying a cached trace) or [misses]
     (executed); [recorded]/[bytes] count the resident traces.  Under
-    [Execute] everything lands in [misses].  [unsafe] always reads 0:
-    every cell the harness builds is replay-safe (no trap handler). *)
+    [Execute] everything lands in [misses]. *)
 type engine_stats = {
   hits : int;
   misses : int;
   recorded : int;
-  unsafe : int;
   bytes : int;
   store_hits : int;  (** subset of [hits] whose trace came from the store *)
-  (* superblock timing memo (Trace_replay.memo_stats, DESIGN.md §18),
+  (* basic-block timing memo (Trace_replay.memo_stats, DESIGN.md §18),
      summed over every replay this context ran *)
   seg_hits : int;
   seg_misses : int;
   seg_fallbacks : int;
-  memo_bytes : int;  (** cumulative approximate memo-table footprint *)
+  memo_bytes : int;  (** cumulative memo-table footprint, exact *)
 }
 
 type trace_slot = Seen_once | Recorded of Rc_machine.Dtrace.t
@@ -141,7 +139,6 @@ let engine_stats ctx =
         hits = ctx.s_hits;
         misses = ctx.s_misses;
         recorded = ctx.s_recorded;
-        unsafe = 0;
         bytes = ctx.s_bytes;
         store_hits = ctx.s_store_hits;
         seg_hits = ctx.s_seg_hits;
@@ -150,8 +147,26 @@ let engine_stats ctx =
         memo_bytes = ctx.s_memo_bytes;
       })
 
+(* The counters as the [trace_cache] object of every JSON document
+   that reports them: [rcc figures --json], /metrics.json, bench
+   --save and --metrics. *)
+let engine_stats_json (es : engine_stats) =
+  let open Rc_obs.Json in
+  Obj
+    [
+      ("hits", Int es.hits);
+      ("misses", Int es.misses);
+      ("recorded", Int es.recorded);
+      ("bytes", Int es.bytes);
+      ("store_hits", Int es.store_hits);
+      ("seg_hits", Int es.seg_hits);
+      ("seg_misses", Int es.seg_misses);
+      ("seg_fallbacks", Int es.seg_fallbacks);
+      ("memo_bytes", Int es.memo_bytes);
+    ]
+
 (* Bridge the trace-cache counters into a metrics registry (the serve
-   Prometheus exposition).  Hits/misses/unsafe/recorded are monotone
+   Prometheus exposition).  Hits/misses/recorded are monotone
    totals accumulated here, so they export as counters; resident bytes
    is a level, a gauge. *)
 let export_metrics ctx reg =
@@ -165,19 +180,17 @@ let export_metrics ctx reg =
     s.misses;
   c "rcc_trace_cache_recorded_total" "Traces recorded into the cache"
     s.recorded;
-  c "rcc_trace_cache_unsafe_total" "Cells not replay-safe, forced execution"
-    s.unsafe;
   c "rcc_trace_cache_store_hits_total"
     "Trace-cache hits whose trace came from the on-disk store" s.store_hits;
   c "rcc_timing_memo_hits_total"
-    "Superblock visits served by the replay timing memo" s.seg_hits;
+    "Basic-block visits served by the replay timing memo" s.seg_hits;
   c "rcc_timing_memo_misses_total"
-    "Superblock visits replayed per-entry and recorded into the memo"
+    "Basic-block visits replayed per-entry and recorded into the memo"
     s.seg_misses;
   c "rcc_timing_memo_fallbacks_total"
-    "Superblock visits ineligible for the memo (halt, fuel, overflow)"
+    "Basic-block visits ineligible for the memo (halt, fuel, overflow)"
     s.seg_fallbacks;
-  c "rcc_timing_memo_bytes_total" "Cumulative approximate memo-table bytes"
+  c "rcc_timing_memo_bytes_total" "Cumulative memo-table bytes, exact"
     s.memo_bytes;
   Rc_obs.Metrics.set reg ~help:"Resident compacted trace bytes"
     "rcc_trace_cache_bytes" (float_of_int s.bytes)
@@ -1112,26 +1125,12 @@ let metrics_json ctx =
           ])
       (pool_stats ctx)
   in
-  let es = engine_stats ctx in
   Obj
     [
       ("scale", Int ctx.scale);
       ("jobs", Int (Rc_par.Pool.jobs ctx.pool));
       ("engine", Str (engine_name ctx.engine));
-      ( "trace_cache",
-        Obj
-          [
-            ("hits", Int es.hits);
-            ("misses", Int es.misses);
-            ("recorded", Int es.recorded);
-            ("unsafe", Int es.unsafe);
-            ("bytes", Int es.bytes);
-            ("store_hits", Int es.store_hits);
-            ("seg_hits", Int es.seg_hits);
-            ("seg_misses", Int es.seg_misses);
-            ("seg_fallbacks", Int es.seg_fallbacks);
-            ("memo_bytes", Int es.memo_bytes);
-          ] );
+      ("trace_cache", engine_stats_json (engine_stats ctx));
       ("cells", List (List.map cell_json (cells ctx)));
       ("pool", List pool);
     ]

@@ -38,21 +38,19 @@ val engine_of_string : string -> engine option
 (** Trace-cache counters: every simulated cell increments exactly one
     of [hits] (timed by replaying a cached trace) or [misses]
     (executed); [recorded]/[bytes] count the resident traces.  Under
-    [Execute] everything lands in [misses].  [unsafe] always reads 0:
-    every cell the harness builds is replay-safe. *)
+    [Execute] everything lands in [misses]. *)
 type engine_stats = {
   hits : int;
   misses : int;
   recorded : int;
-  unsafe : int;
   bytes : int;
   store_hits : int;
       (** subset of [hits] whose trace came from the on-disk store *)
   seg_hits : int;
-      (** superblock timing-memo probes served (DESIGN.md §18) *)
-  seg_misses : int;  (** superblock visits replayed per-entry and memoised *)
-  seg_fallbacks : int;  (** superblock visits ineligible for the memo *)
-  memo_bytes : int;  (** cumulative approximate memo-table footprint *)
+      (** basic-block timing-memo probes served (DESIGN.md §18) *)
+  seg_misses : int;  (** basic-block visits replayed per-entry and memoised *)
+  seg_fallbacks : int;  (** basic-block visits ineligible for the memo *)
+  memo_bytes : int;  (** cumulative memo-table footprint, exact *)
 }
 
 (** Under [Replay] and [Auto] every table first compiles its declared
@@ -81,10 +79,13 @@ val pool : ctx -> Rc_par.Pool.t
     engine- and jobs-independent; only this hit/miss split varies. *)
 val engine_stats : ctx -> engine_stats
 
+(** The counters as the [trace_cache] JSON object: one key per field. *)
+val engine_stats_json : engine_stats -> Rc_obs.Json.t
+
 (** Export the trace-cache counters into a metrics registry
-    ([rcc_trace_cache_*]): hits/misses/recorded/unsafe as bridged
-    counters, resident bytes as a gauge.  The server calls this before
-    rendering [GET /metrics]. *)
+    ([rcc_trace_cache_*], [rcc_timing_memo_*]): the monotone totals as
+    bridged counters, resident bytes as a gauge.  The server calls this
+    before rendering [GET /metrics]. *)
 val export_metrics : ctx -> Rc_obs.Metrics.t -> unit
 
 (** Attach an on-disk trace store (lib/serve/store.ml, or any other

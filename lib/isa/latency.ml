@@ -18,8 +18,14 @@ type t = {
 
 let default = { load = 2; connect = 0 }
 
+(* 16x the paper's 4-cycle load: every registry kernel still simulates
+   in well under a second there, where an unbounded latency lets one
+   request run until the machine's fuel is spent. *)
+let max_load = 64
+
 let v ?(load = 2) ?(connect = 0) () =
   if load < 1 then invalid_arg "Latency.v: load < 1";
+  if load > max_load then invalid_arg "Latency.v: load > max_load";
   if connect < 0 || connect > 1 then invalid_arg "Latency.v: connect not 0/1";
   { load; connect }
 

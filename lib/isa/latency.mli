@@ -19,7 +19,11 @@ type t = {
 (** 2-cycle loads, zero-cycle connects. *)
 val default : t
 
-(** @raise Invalid_argument when [load < 1] or [connect] is not 0/1. *)
+(** Largest load latency a configuration may ask for: 64 cycles. *)
+val max_load : int
+
+(** @raise Invalid_argument when [load] is below 1 or above {!max_load},
+    or [connect] is not 0/1. *)
 val v : ?load:int -> ?connect:int -> unit -> t
 
 val int_alu : int

@@ -118,21 +118,7 @@ let table_json (t : Rc_harness.Experiments.table) =
       ("note", Str t.Rc_harness.Experiments.note);
     ]
 
-let engine_stats_json (es : Rc_harness.Experiments.engine_stats) =
-  let open Rc_obs.Json in
-  Obj
-    [
-      ("hits", Int es.Rc_harness.Experiments.hits);
-      ("misses", Int es.Rc_harness.Experiments.misses);
-      ("recorded", Int es.Rc_harness.Experiments.recorded);
-      ("unsafe", Int es.Rc_harness.Experiments.unsafe);
-      ("bytes", Int es.Rc_harness.Experiments.bytes);
-      ("store_hits", Int es.Rc_harness.Experiments.store_hits);
-      ("seg_hits", Int es.Rc_harness.Experiments.seg_hits);
-      ("seg_misses", Int es.Rc_harness.Experiments.seg_misses);
-      ("seg_fallbacks", Int es.Rc_harness.Experiments.seg_fallbacks);
-      ("memo_bytes", Int es.Rc_harness.Experiments.memo_bytes);
-    ]
+let engine_stats_json = Rc_harness.Experiments.engine_stats_json
 
 let figures_response ~scale ~jobs ~engine_name ~stats tables =
   Rc_obs.Json.Obj
@@ -186,13 +172,17 @@ let bool_field fields name ~default =
 let positive name v =
   if v >= 1 then Ok v else Error (Fmt.str "field %S must be positive" name)
 
-(* A core register count inside the range {!Rc_harness.Pipeline.options}
-   accepts, checked before anything is compiled. *)
-let core_count cls name v =
-  let lo = Rc_harness.Pipeline.min_core cls
-  and hi = Rc_harness.Pipeline.max_core in
+(* A machine parameter inside the range {!Rc_harness.Pipeline.options}
+   and {!Rc_isa.Latency.v} accept, checked before anything is
+   compiled. *)
+let within name ~lo ~hi v =
   if v >= lo && v <= hi then Ok v
   else Error (Fmt.str "field %S must be in [%d, %d]" name lo hi)
+
+let core_count cls name =
+  within name
+    ~lo:(Rc_harness.Pipeline.min_core cls)
+    ~hi:Rc_harness.Pipeline.max_core
 
 (* Decoders that can admit inline specs report through
    {!Rc_check.Spec.error}, keeping the 400 ([Malformed]) vs 413
@@ -271,8 +261,18 @@ let run_request_of_json j =
              (core_count Rc_isa.Reg.Float "core_float"))
       in
       let* rc = mal (bool_field fields "rc" ~default:false) in
-      let* load = mal (int_field fields "load" ~default:2) in
-      let* connect = mal (int_field fields "connect" ~default:0) in
+      let* load =
+        mal
+          (Result.bind
+             (int_field fields "load" ~default:2)
+             (within "load" ~lo:1 ~hi:Rc_isa.Latency.max_load))
+      in
+      let* connect =
+        mal
+          (Result.bind
+             (int_field fields "connect" ~default:0)
+             (within "connect" ~lo:0 ~hi:1))
+      in
       let* mem_channels =
         match List.assoc_opt "mem_channels" fields with
         | None -> Ok None

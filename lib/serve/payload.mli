@@ -67,6 +67,8 @@ val compile_response :
   Rc_obs.Json.t
 
 val table_json : Rc_harness.Experiments.table -> Rc_obs.Json.t
+
+(** {!Rc_harness.Experiments.engine_stats_json}. *)
 val engine_stats_json : Rc_harness.Experiments.engine_stats -> Rc_obs.Json.t
 
 (** The [rcc figures --json] / [POST /figures] document. *)

@@ -161,7 +161,10 @@ let test_latency_validation () =
   Alcotest.check_raises "bad connect" (Invalid_argument "Latency.v: connect not 0/1")
     (fun () -> ignore (Latency.v ~connect:2 ()));
   Alcotest.check_raises "bad load" (Invalid_argument "Latency.v: load < 1")
-    (fun () -> ignore (Latency.v ~load:0 ()))
+    (fun () -> ignore (Latency.v ~load:0 ()));
+  Alcotest.check_raises "load beyond max_load"
+    (Invalid_argument "Latency.v: load > max_load")
+    (fun () -> ignore (Latency.v ~load:65 ()))
 
 (* --- Insn ---------------------------------------------------------------- *)
 

@@ -325,7 +325,15 @@ let test_nonpositive_machine () =
             (Fmt.str "detail %S names %s" detail field)
             true
             (contains ~needle:field detail))
-        [ ("mem_channels", 0); ("mem_channels", -1); ("issue", 0); ("issue", -1) ];
+        [
+          ("mem_channels", 0);
+          ("mem_channels", -1);
+          ("issue", 0);
+          ("issue", -1);
+          ("load", 0);
+          ("load", 65);
+          ("connect", 2);
+        ];
       let st, _, _ = request ~port ~meth:"GET" ~path:"/healthz" () in
       check "healthz still answers" 200 st)
 
