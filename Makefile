@@ -5,7 +5,7 @@
 # after another (bench-smoke's perf gate wants a quiet machine).
 SMOKES := bench-smoke trace-smoke fuzz-smoke replay-smoke json-smoke \
 	serve-smoke load-smoke load-smoke-workers store-smoke memo-smoke \
-	spec-smoke
+	spec-smoke memory-smoke
 
 .PHONY: all build test bench smoke $(SMOKES) serve clean
 

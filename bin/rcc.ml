@@ -720,7 +720,8 @@ let serve_cmd =
       & info [ "workers" ] ~docv:"N" ~doc)
   in
   (* The server times on the replay engine: the first request for an
-     image records its trace, the second is re-timed from the cache. *)
+     image records its trace, the second is re-timed from the cache and
+     keeps the compiled image, which later requests reuse. *)
   let engine = Rc_harness.Experiments.Replay in
   (* One worker process: context, server, signal wiring, drain.
      [announce] is false for prefork workers — the parent already
@@ -736,7 +737,10 @@ let serve_cmd =
        290 MB over 3,000 hot /run requests.  80, OCaml 4's default,
        holds it at its working set. *)
     Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
-    let ctx = Rc_harness.Experiments.create ~scale ~jobs ~engine () in
+    let ctx =
+      Rc_harness.Experiments.create ~scale ~jobs ~engine
+        ~max_bytes:Rc_serve.Server.stage_cache_bytes ()
+    in
     let store = open_store store_dir store_max_bytes in
     let srv =
       Rc_serve.Server.create

@@ -14,7 +14,8 @@
    Scenarios:
    - serve: the HTTP contract of DESIGN.md sections 15 and 16 — /run
      equals `rcc run --json`, the second /run replays from the trace
-     cache, /metrics is saved to metrics.prom (the serve-smoke alias
+     cache, the third answers the same from the image the second kept,
+     /metrics is saved to metrics.prom (the serve-smoke alias
      validates it with `jsonck --prom`), and SIGTERM drains a request
      in flight and leaves access-log and slow-span lines on stderr.
    - store: two sequential servers on one --store directory (section
@@ -26,6 +27,13 @@
      with 413 and 400.
    - cli: front-door argument errors exit 124 (cmdliner's usage error),
      never as an uncaught exception.
+   - memory: the stage cache's bounds (section 15), read from the
+     server's VmRSS in /proc/PID/status and from /metrics.json.  5,000
+     identical /run requests leave VmRSS within 2x its value after the
+     first 500; 5,000 distinct configurations keep the charged bytes
+     under the cap at every scrape, evict, and grow VmRSS by under 10%
+     over the last 3,000; a fresh server answering every figure evicts
+     nothing.
 
    The first failing row exits 1, naming its scenario and action. *)
 
@@ -38,11 +46,19 @@ type action =
   | Drain of string  (** POST /run this body, SIGTERM while in flight *)
   | Stop  (** SIGTERM the server; its exit code and stderr *)
   | Rcc of string list * string  (** [rcc ARGS] fed this stdin *)
+  | Runs of int * (int -> string)
+      (** POST /run these bodies (of request 0, 1, ...), one at a time;
+          the first answer that is not 200 ends the row *)
+  | Rss  (** the server's VmRSS in kB, from /proc/PID/status *)
 
 type check =
   | Str of string list * string  (** member at this path is this string *)
   | Num of string list  (** member at this path is a number *)
   | At_least of string list * int  (** member is an integer >= this *)
+  | At_most of string list * int  (** member is an integer <= this *)
+  | Grown_below of string * float
+      (** the answer, a number, is below this factor times the number
+          saved under this name *)
   | Has of string  (** the answer contains this text *)
   | Lacks of string
   | Same of string
@@ -72,6 +88,9 @@ let post ?(status = 200) ?save path body =
 let rcc ?status ?save ?(stdin = "") args =
   row ?status ?save (Rcc (args, stdin))
 
+let runs n body = row ~status:200 (Runs (n, body)) []
+let rss ?save checks = row ?save Rss checks
+
 (* --- the table ---------------------------------------------------------- *)
 
 let run_cmp = {|{"bench":"cmp","rc":true,"core_int":8}|}
@@ -92,12 +111,21 @@ let serve =
       [ engine "execute"; Same "serve-cli.json" ];
     post "/run" run_cmp ~save:"serve-warm.json"
       [ engine "replay"; Same "serve-cold.json" ];
+    (* The third request reuses the image the second one kept. *)
+    post "/run" run_cmp ~save:"serve-reused.json"
+      [ engine "replay"; Same "serve-cold.json" ];
     get "/metrics.json"
-      [ At_least ([ "experiments"; "trace_cache"; "hits" ], 1) ];
+      [
+        At_least ([ "experiments"; "trace_cache"; "hits" ], 2);
+        At_least ([ "experiments"; "stage_cache"; "images" ], 1);
+      ];
     get "/metrics" ~save:"metrics.prom"
       [
         Has "# TYPE rcc_requests_total counter";
         Has "# TYPE rcc_request_duration_seconds histogram";
+        Has "# TYPE rcc_stage_cache_bytes gauge";
+        Has "# TYPE rcc_stage_cache_entries gauge";
+        Has "# TYPE rcc_stage_cache_evictions_total counter";
       ];
     (* A configuration not seen yet, so the drained request executes. *)
     rcc [ "run"; "eqn"; "--rc"; "--issue"; "8"; "--json" ]
@@ -184,8 +212,68 @@ let cli =
       [ "run"; "cmp"; "--issue"; "0" ];
     ]
 
+let memory =
+  let cap = 64 * 1024 * 1024 in
+  let cache = [ "experiments"; "stage_cache" ] in
+  let server = [ "--jobs"; "1"; "--quiet" ] in
+  let same _ = {|{"bench":"cmp","rc":true,"core_int":16,"issue":4,"load":2}|} in
+  (* Request k's configuration, distinct for k < 8,164: RC off and on
+     in turn, each of the 2,041 core sizes in a scrambled order (997 is
+     prime to 2,041), issue rate 1 and then 2.  Every stretch of
+     requests mixes small and large cores alike, so memory has no
+     trend of its own to follow. *)
+  let distinct k =
+    let j = k mod 4082 in
+    Printf.sprintf {|{"bench":"cmp","rc":%b,"core_int":%d,"issue":%d}|}
+      (j mod 2 = 1)
+      (8 + (j / 2 * 997 mod 2041))
+      (1 + (k / 4082))
+  in
+  let bounded = [ At_most (cache @ [ "bytes" ], cap) ] in
+  [
+    boot server;
+    runs 500 same;
+    rss ~save:"memory-repeat-500.txt" [];
+    runs 4500 same;
+    rss ~save:"memory-repeat-5000.txt"
+      [ Grown_below ("memory-repeat-500.txt", 2.0) ];
+    get "/metrics.json" ~save:"memory-repeat.json"
+      [
+        At_least (cache @ [ "images" ], 1);
+        At_least ([ "experiments"; "trace_cache"; "hits" ], 4999);
+      ];
+    stop [];
+    boot server;
+  ]
+  @ List.concat
+      (List.init 20 (fun i ->
+           [
+             runs 250 (fun k -> distinct ((250 * i) + k));
+             get "/metrics.json" bounded;
+           ]
+           @
+           if i = 7 then [ rss ~save:"memory-distinct-2000.txt" [] ] else []))
+  @ [
+      rss ~save:"memory-distinct-5000.txt"
+        [ Grown_below ("memory-distinct-2000.txt", 1.10) ];
+      get "/metrics.json" ~save:"memory-distinct.json"
+        (At_least (cache @ [ "evictions" ], 1) :: bounded);
+      stop [];
+      boot server;
+      post "/figures" "{}" [];
+      get "/metrics.json" ~save:"memory-figures.json"
+        (At_most (cache @ [ "evictions" ], 0) :: bounded);
+      stop [];
+    ]
+
 let scenarios =
-  [ ("serve", serve); ("store", store); ("spec", spec); ("cli", cli) ]
+  [
+    ("serve", serve);
+    ("store", store);
+    ("spec", spec);
+    ("cli", cli);
+    ("memory", memory);
+  ]
 
 (* --- the engine --------------------------------------------------------- *)
 
@@ -203,6 +291,19 @@ let server st =
 let code = function
   | Unix.WEXITED n -> n
   | Unix.WSIGNALED n | Unix.WSTOPPED n -> fail "killed by signal %d" n
+
+(* The VmRSS line of /proc/PID/status, in kB: a read, nothing more. *)
+let vm_rss pid =
+  In_channel.with_open_text (Printf.sprintf "/proc/%d/status" pid) (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> fail "no VmRSS line in /proc/%d/status" pid
+        | Some line -> (
+            match Scanf.sscanf_opt line "VmRSS: %d kB" Fun.id with
+            | Some kb -> kb
+            | None -> go ())
+      in
+      go ())
 
 (* [rcc ARGS] with [stdin] on its standard input (small enough for the
    pipe buffer); stderr is discarded. *)
@@ -242,6 +343,17 @@ let perform st = function
       st.server <- None;
       (code status, log)
   | Rcc (args, stdin) -> run_rcc st.exe args stdin
+  | Runs (n, body) ->
+      let port = (server st).port in
+      let rec go k =
+        if k = n then (200, Printf.sprintf "%d requests answered 200" n)
+        else
+          match C.request ~port ~meth:"POST" ~path:"/run" ~body:(body k) () with
+          | 200, _ -> go (k + 1)
+          | status, answer -> (status, Printf.sprintf "request %d: %s" k answer)
+      in
+      go 0
+  | Rss -> (0, string_of_int (vm_rss (server st).pid))
 
 let rec member path j =
   match path with
@@ -285,6 +397,22 @@ let check st answer c =
       match at path with
       | Some (J.Int v) when v >= n -> ()
       | v -> fail "%s, wanted an integer >= %d" (shown path v) n)
+  | At_most (path, n) -> (
+      match at path with
+      | Some (J.Int v) when v <= n -> ()
+      | v -> fail "%s, wanted an integer <= %d" (shown path v) n)
+  | Grown_below (name, factor) -> (
+      let number text =
+        match float_of_string_opt (String.trim text) with
+        | Some x -> x
+        | None -> fail "%S is not a number" text
+      in
+      match Hashtbl.find_opt st.saved name with
+      | None -> fail "nothing saved as %s" name
+      | Some prev ->
+          let now = number answer and before = number prev in
+          if not (now < factor *. before) then
+            fail "%g is not below %g x %g (%s)" now factor before name)
   | Has needle ->
       if C.find ~needle answer = None then fail "no %S in %S" needle answer
   | Lacks needle ->
@@ -318,6 +446,8 @@ let describe = function
   | Drain body -> "POST /run " ^ body ^ ", SIGTERM in flight"
   | Stop -> "SIGTERM, drain, exit"
   | Rcc (args, _) -> String.concat " " ("rcc" :: args)
+  | Runs (n, body) -> Printf.sprintf "POST /run x%d from %s" n (body 0)
+  | Rss -> "read VmRSS"
 
 let run_scenario exe (name, rows) =
   let st = { exe; server = None; saved = Hashtbl.create 8 } in
@@ -346,5 +476,5 @@ let () =
       let exe = C.program exe in
       List.iter (fun n -> run_scenario exe (n, List.assoc n scenarios)) names
   | _ ->
-      prerr_endline "usage: smoke RCC (serve|store|spec|cli)...";
+      prerr_endline "usage: smoke RCC (serve|store|spec|cli|memory)...";
       exit 2

@@ -47,8 +47,9 @@ let engine_of_string = function
 
 (** Trace-cache counters: every simulated cell increments exactly one
     of [hits] (timed by replaying a cached trace) or [misses]
-    (executed); [recorded]/[bytes] count the resident traces.  Under
-    [Execute] everything lands in [misses]. *)
+    (executed); [recorded] counts traces installed by recording and
+    [bytes] the traces resident now.  Under [Execute] everything lands
+    in [misses]. *)
 type engine_stats = {
   hits : int;
   misses : int;
@@ -63,89 +64,102 @@ type engine_stats = {
   memo_bytes : int;  (** cumulative memo-table footprint, exact *)
 }
 
-type trace_slot = Seen_once | Recorded of Rc_machine.Dtrace.t
-
-(** Optional second cache level behind the in-memory trace table: an
+(** Optional second cache level behind the in-memory trace cache: an
     on-disk store (lib/serve/store.ml, or anything else) exposed as two
     closures so the harness stays ignorant of file formats.  [probe] is
     consulted on an in-memory miss {e before} deciding to execute or
     record; [publish] is offered every freshly recorded trace.  Both
-    run {e outside} [traces_mu] — they do disk IO. *)
+    run outside the stage cache's lock — they do disk IO. *)
 type store_hooks = {
   probe : string -> Rc_machine.Dtrace.t option;
   publish : string -> Rc_machine.Dtrace.t -> unit;
 }
 
+(* The stage cache's keys: each stage under what determines its
+   result. *)
+type stage_key =
+  | Prepare of string * string  (* kernel, optimisation level *)
+  | Allocate of string * string * string  (* kernel, level, alloc_key *)
+  | Back of string  (* run key: a cell's back half *)
+  | Trace of string  (* trace key *)
+  | Run of string  (* run key: a simulated cell *)
+
+type stage =
+  | Prepared of Pipeline.prepared
+  | Allocated of Pipeline.allocated
+  | Compiled of Pipeline.compiled
+  | Recorded of Rc_machine.Dtrace.t
+  | Ran of cell
+  | Seen_once  (* a back half or trace met once: only the sighting kept *)
+
 type ctx = {
   scale : int;
   engine : engine;
   pool : Rc_par.Pool.t;
-  (* Domain-safe single-flight memo tables: any worker may ask for any
-     cell, but each program is compiled and each configuration simulated
-     exactly once. *)
-  prepared : (string * string, Pipeline.prepared) Rc_par.Memo.t;
-  allocs : (string, Pipeline.allocated) Rc_par.Memo.t;
-  runs : (string, cell) Rc_par.Memo.t;
+  (* Every stage of every cell in one domain-safe table: any worker may
+     ask for any cell, but each program is prepared, each allocation
+     and cell computed once while it is resident.  Traces are added,
+     not computed through it: two workers racing on one trace key at
+     worst both execute, and replayed results are exact, so table
+     contents never depend on the race (only the hit/miss split
+     does).  Under a cap (the server's) it is a byte-capped LRU cache;
+     an evicted stage is recomputed on its next request. *)
+  stages : (stage_key, stage) Rc_par.Memo.t;
   base_cycles : (string, float) Rc_par.Memo.t;
-  (* The trace cache is mutex-protected but deliberately not
-     single-flight: two workers racing on one fingerprint at worst both
-     execute, and replayed results are exact, so table contents never
-     depend on the race (only the hit/miss split does). *)
-  traces : (string, trace_slot) Hashtbl.t;
-  traces_mu : Mutex.t;
   mutable store : store_hooks option;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_recorded : int;
-  mutable s_bytes : int;
-  mutable s_store_hits : int;
-  mutable s_seg_hits : int;
-  mutable s_seg_misses : int;
-  mutable s_seg_fallbacks : int;
-  mutable s_memo_bytes : int;
+  s_hits : int Atomic.t;
+  s_misses : int Atomic.t;
+  s_recorded : int Atomic.t;
+  s_store_hits : int Atomic.t;
+  s_seg_hits : int Atomic.t;
+  s_seg_misses : int Atomic.t;
+  s_seg_fallbacks : int Atomic.t;
+  s_memo_bytes : int Atomic.t;
 }
 
-let create ?(scale = 1) ?(jobs = 1) ?(engine = Auto) () =
+let create ?(scale = 1) ?(jobs = 1) ?(engine = Auto) ?max_bytes () =
   {
     scale;
     engine;
     pool = Rc_par.Pool.create ~jobs;
-    prepared = Rc_par.Memo.create 32;
-    allocs = Rc_par.Memo.create 128;
-    runs = Rc_par.Memo.create 256;
+    stages = Rc_par.Memo.create ?max_bytes 512;
     base_cycles = Rc_par.Memo.create 16;
-    traces = Hashtbl.create 256;
-    traces_mu = Mutex.create ();
     store = None;
-    s_hits = 0;
-    s_misses = 0;
-    s_recorded = 0;
-    s_bytes = 0;
-    s_store_hits = 0;
-    s_seg_hits = 0;
-    s_seg_misses = 0;
-    s_seg_fallbacks = 0;
-    s_memo_bytes = 0;
+    s_hits = Atomic.make 0;
+    s_misses = Atomic.make 0;
+    s_recorded = Atomic.make 0;
+    s_store_hits = Atomic.make 0;
+    s_seg_hits = Atomic.make 0;
+    s_seg_misses = Atomic.make 0;
+    s_seg_fallbacks = Atomic.make 0;
+    s_memo_bytes = Atomic.make 0;
   }
 
 let jobs ctx = Rc_par.Pool.jobs ctx.pool
 let engine ctx = ctx.engine
 let scale ctx = ctx.scale
 let pool ctx = ctx.pool
+let bump counter n = ignore (Atomic.fetch_and_add counter n)
 
 let engine_stats ctx =
-  Mutex.protect ctx.traces_mu (fun () ->
-      {
-        hits = ctx.s_hits;
-        misses = ctx.s_misses;
-        recorded = ctx.s_recorded;
-        bytes = ctx.s_bytes;
-        store_hits = ctx.s_store_hits;
-        seg_hits = ctx.s_seg_hits;
-        seg_misses = ctx.s_seg_misses;
-        seg_fallbacks = ctx.s_seg_fallbacks;
-        memo_bytes = ctx.s_memo_bytes;
-      })
+  let n = Atomic.get in
+  {
+    hits = n ctx.s_hits;
+    misses = n ctx.s_misses;
+    recorded = n ctx.s_recorded;
+    bytes =
+      Rc_par.Memo.fold
+        (fun _ v acc ->
+          match v with
+          | Recorded tr -> acc + Rc_machine.Dtrace.bytes tr
+          | _ -> acc)
+        ctx.stages 0;
+    store_hits = n ctx.s_store_hits;
+    seg_hits = n ctx.s_seg_hits;
+    seg_misses = n ctx.s_seg_misses;
+    seg_fallbacks = n ctx.s_seg_fallbacks;
+    memo_bytes = n ctx.s_memo_bytes;
+  }
 
 (* The counters as the [trace_cache] object of every JSON document
    that reports them: [rcc figures --json], /metrics.json, bench
@@ -165,15 +179,51 @@ let engine_stats_json (es : engine_stats) =
       ("memo_bytes", Int es.memo_bytes);
     ]
 
-(* Bridge the trace-cache counters into a metrics registry (the serve
-   Prometheus exposition).  Hits/misses/recorded are monotone
-   totals accumulated here, so they export as counters; resident bytes
-   is a level, a gauge. *)
+(** The stage cache's levels: resident entries (in flight included),
+    resident compiled images, charged bytes (0 without a cap), the cap,
+    and evictions so far. *)
+type stage_stats = {
+  entries : int;
+  images : int;
+  charged : int;
+  cap : int option;
+  evictions : int;
+}
+
+let stage_stats ctx =
+  {
+    entries = Rc_par.Memo.length ctx.stages;
+    images =
+      Rc_par.Memo.fold
+        (fun _ v n -> match v with Compiled _ -> n + 1 | _ -> n)
+        ctx.stages 0;
+    charged = Rc_par.Memo.bytes ctx.stages;
+    cap = Rc_par.Memo.max_bytes ctx.stages;
+    evictions = Rc_par.Memo.evictions ctx.stages;
+  }
+
+let stage_stats_json s =
+  let open Rc_obs.Json in
+  Obj
+    [
+      ("entries", Int s.entries);
+      ("images", Int s.images);
+      ("bytes", Int s.charged);
+      ("cap", match s.cap with Some c -> Int c | None -> Null);
+      ("evictions", Int s.evictions);
+    ]
+
+(* Bridge the cache counters into a metrics registry (the serve
+   Prometheus exposition).  Hits/misses/recorded and evictions are
+   monotone totals accumulated here, so they export as counters;
+   resident bytes and entries are levels, gauges. *)
 let export_metrics ctx reg =
   let s = engine_stats ctx in
+  let st = stage_stats ctx in
   let c name help v =
     Rc_obs.Metrics.set_counter reg ~help name (float_of_int v)
   in
+  let g name help v = Rc_obs.Metrics.set reg ~help name (float_of_int v) in
   c "rcc_trace_cache_hits_total" "Cells timed by replaying a cached trace"
     s.hits;
   c "rcc_trace_cache_misses_total" "Replay-eligible cells that executed"
@@ -192,17 +242,26 @@ let export_metrics ctx reg =
     s.seg_fallbacks;
   c "rcc_timing_memo_bytes_total" "Cumulative memo-table bytes, exact"
     s.memo_bytes;
-  Rc_obs.Metrics.set reg ~help:"Resident compacted trace bytes"
-    "rcc_trace_cache_bytes" (float_of_int s.bytes)
+  g "rcc_trace_cache_bytes" "Resident compacted trace bytes" s.bytes;
+  g "rcc_stage_cache_bytes" "Bytes charged to the stage cache" st.charged;
+  g "rcc_stage_cache_entries" "Entries resident in the stage cache"
+    st.entries;
+  c "rcc_stage_cache_evictions_total" "Stage-cache entries evicted under the cap"
+    st.evictions
 
 let shutdown ctx = Rc_par.Pool.shutdown ctx.pool
 let set_store ctx ~probe ~publish = ctx.store <- Some { probe; publish }
 
+(* Keep [tr] as [key]'s trace unless a racing worker already did;
+   true when this call installed it. *)
+let install ctx key tr =
+  Rc_par.Memo.add ctx.stages (Trace key) (Recorded tr)
+    ~over:(function Recorded _ -> false | _ -> true)
+
 (* Probe the attached store for [key] — called on an in-memory miss,
-   outside [traces_mu] (it reads a file).  A hit is installed in the
-   memory table (unless a racing worker already recorded the key) so
-   later sightings hit memory, and counts toward resident bytes like
-   any other cached trace. *)
+   outside the stage cache's lock (it reads a file).  A hit is
+   installed in memory (unless a racing worker already recorded the
+   key) so later sightings hit memory. *)
 let store_probe ctx key =
   match ctx.store with
   | None -> None
@@ -210,13 +269,8 @@ let store_probe ctx key =
       match s.probe key with
       | None -> None
       | Some tr ->
-          Mutex.protect ctx.traces_mu (fun () ->
-              ctx.s_store_hits <- ctx.s_store_hits + 1;
-              match Hashtbl.find_opt ctx.traces key with
-              | Some (Recorded _) -> ()
-              | _ ->
-                  Hashtbl.replace ctx.traces key (Recorded tr);
-                  ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
+          bump ctx.s_store_hits 1;
+          ignore (install ctx key tr);
           Some tr)
 
 let store_publish ctx key tr =
@@ -226,10 +280,17 @@ let level_key = function
   | Rc_opt.Pass.Classical -> "classical"
   | Rc_opt.Pass.Ilp f -> "ilp" ^ string_of_int f
 
+(* One stage through the cache: computed once while resident. *)
+let stage ctx key f = Rc_par.Memo.find_or_compute ctx.stages key f
+
 let prepared ctx (b : Wutil.bench) level =
-  let key = (b.Wutil.name, level_key level) in
-  Rc_par.Memo.find_or_compute ctx.prepared key (fun () ->
-      Pipeline.prepare ~opt:level (b.Wutil.build ctx.scale))
+  match
+    stage ctx
+      (Prepare (b.Wutil.name, level_key level))
+      (fun () -> Prepared (Pipeline.prepare ~opt:level (b.Wutil.build ctx.scale)))
+  with
+  | Prepared p -> p
+  | _ -> assert false
 
 let opts_key (o : Pipeline.options) =
   Fmt.str "%s/rc=%b/%d.%d.%d.%d/%a/c=%b/i=%d/m=%d/l=%d.%d/x=%b"
@@ -239,18 +300,22 @@ let opts_key (o : Pipeline.options) =
     o.Pipeline.mem_channels o.Pipeline.lat.Rc_isa.Latency.load
     o.Pipeline.lat.Rc_isa.Latency.connect o.Pipeline.extra_stage
 
+let run_key (b : Wutil.bench) opts = b.Wutil.name ^ "#" ^ opts_key opts
+
 (** Register allocation and lowering shared (memoised) across every
     configuration with the same {!Pipeline.alloc_key} — the timing axes
     of the figure sweeps (issue rate, memory channels, load latency,
     model, combine, extra stage) re-use one allocation. *)
 let allocated ctx (b : Wutil.bench) (opts : Pipeline.options) =
-  let key =
-    Fmt.str "%s#%s#%s" b.Wutil.name
-      (level_key opts.Pipeline.opt)
-      (Pipeline.alloc_key opts)
-  in
-  Rc_par.Memo.find_or_compute ctx.allocs key (fun () ->
-      Pipeline.allocate opts (prepared ctx b opts.Pipeline.opt))
+  match
+    stage ctx
+      (Allocate
+         (b.Wutil.name, level_key opts.Pipeline.opt, Pipeline.alloc_key opts))
+      (fun () ->
+        Allocated (Pipeline.allocate opts (prepared ctx b opts.Pipeline.opt)))
+  with
+  | Allocated a -> a
+  | _ -> assert false
 
 (* The knobs that determine the dynamic instruction stream beyond the
    image bytes: register resolution (reset model, file shapes).  Part
@@ -266,12 +331,10 @@ let trace_key (c : Pipeline.compiled) =
 
 (* Fold one replay call's memo counters into the context. *)
 let fold_memo ctx (m : Rc_machine.Trace_replay.memo_stats) =
-  Mutex.protect ctx.traces_mu (fun () ->
-      ctx.s_seg_hits <- ctx.s_seg_hits + m.Rc_machine.Trace_replay.m_hits;
-      ctx.s_seg_misses <- ctx.s_seg_misses + m.Rc_machine.Trace_replay.m_misses;
-      ctx.s_seg_fallbacks <-
-        ctx.s_seg_fallbacks + m.Rc_machine.Trace_replay.m_fallbacks;
-      ctx.s_memo_bytes <- ctx.s_memo_bytes + m.Rc_machine.Trace_replay.m_bytes)
+  bump ctx.s_seg_hits m.Rc_machine.Trace_replay.m_hits;
+  bump ctx.s_seg_misses m.Rc_machine.Trace_replay.m_misses;
+  bump ctx.s_seg_fallbacks m.Rc_machine.Trace_replay.m_fallbacks;
+  bump ctx.s_memo_bytes m.Rc_machine.Trace_replay.m_bytes
 
 (** The trace-cache policy, the one place that decides how cells are
     timed: [time_group ctx ~reuse key c0 rest] times the group
@@ -285,28 +348,19 @@ let fold_memo ctx (m : Rc_machine.Trace_replay.memo_stats) =
     execution exactly (DESIGN.md §14), so the policy moves counters,
     never a result. *)
 let time_group ctx ~reuse key c0 rest =
-  let hits n =
-    Mutex.protect ctx.traces_mu (fun () -> ctx.s_hits <- ctx.s_hits + n)
-  in
-  let miss () =
-    Mutex.protect ctx.traces_mu (fun () -> ctx.s_misses <- ctx.s_misses + 1)
-  in
   let replay cs tr =
-    hits (List.length cs);
+    bump ctx.s_hits (List.length cs);
     let ms = Rc_machine.Trace_replay.memo_stats () in
     let rs = Pipeline.simulate_replay_batch ~stats:ms cs tr in
     fold_memo ctx ms;
     rs
   in
-  let cached =
-    Mutex.protect ctx.traces_mu (fun () -> Hashtbl.find_opt ctx.traces key)
-  in
+  let miss () = bump ctx.s_misses 1 in
+  let cached = Rc_par.Memo.find_opt ctx.stages (Trace key) in
   (* an in-memory miss: a sibling process may have recorded the key
      already, so probe the store before paying for an execution *)
   let trace =
-    match cached with
-    | Some (Recorded tr) -> Some tr
-    | Some Seen_once | None -> store_probe ctx key
+    match cached with Some (Recorded tr) -> Some tr | _ -> store_probe ctx key
   in
   match trace with
   | Some tr -> (replay (c0 :: rest) tr, true)
@@ -314,9 +368,7 @@ let time_group ctx ~reuse key c0 rest =
     when rest = [] && Option.is_none cached && Option.is_none ctx.store
          && not reuse ->
       miss ();
-      Mutex.protect ctx.traces_mu (fun () ->
-          if not (Hashtbl.mem ctx.traces key) then
-            Hashtbl.replace ctx.traces key Seen_once);
+      ignore (Rc_par.Memo.add ctx.stages (Trace key) Seen_once);
       ([ Pipeline.simulate c0 ], false)
   | None -> (
       miss ();
@@ -333,21 +385,31 @@ let time_group ctx ~reuse key c0 rest =
                  rest,
             false )
       | Some tr ->
-          Mutex.protect ctx.traces_mu (fun () ->
-              match Hashtbl.find_opt ctx.traces key with
-              | Some (Recorded _) -> () (* a racing worker won *)
-              | Some Seen_once | None ->
-                  Hashtbl.replace ctx.traces key (Recorded tr);
-                  ctx.s_recorded <- ctx.s_recorded + 1;
-                  ctx.s_bytes <- ctx.s_bytes + Rc_machine.Dtrace.bytes tr);
+          if install ctx key tr then bump ctx.s_recorded 1;
           store_publish ctx key tr;
           (r0 :: (if rest = [] then [] else replay rest tr), false))
 
-(** The compile side of {!run_cell}: prepare/allocate through the
-    context's memo tables (warm across calls), then the cheap
-    timing-dependent back half on a fresh template copy. *)
+(** The compile side of {!run_cell}: prepare and allocate through the
+    stage cache, then the timing-dependent back half (schedule,
+    rc-lower, assemble) on a fresh template copy.  The back half keeps
+    the rule {!time_group} applies to traces: a cell's first request
+    only notes the sighting, its second keeps the compiled image, and
+    later requests reuse that image — so a sweep, which compiles each
+    cell once, keeps none. *)
 let compile_cell ctx (b : Wutil.bench) (opts : Pipeline.options) =
-  Pipeline.compile_allocated opts (allocated ctx b opts)
+  let key = Back (run_key b opts) in
+  let compile () = Pipeline.compile_allocated opts (allocated ctx b opts) in
+  match Rc_par.Memo.find_opt ctx.stages key with
+  | Some (Compiled c) -> c
+  | Some _ ->
+      let c = compile () in
+      ignore
+        (Rc_par.Memo.add ctx.stages key (Compiled c)
+           ~over:(function Seen_once -> true | _ -> false));
+      c
+  | None ->
+      ignore (Rc_par.Memo.add ctx.stages key Seen_once);
+      compile ()
 
 (** The simulate side of {!run_cell}, unmemoised: every call goes to
     the engine, so a repeated configuration is re-timed through the
@@ -356,15 +418,13 @@ let compile_cell ctx (b : Wutil.bench) (opts : Pipeline.options) =
 let simulate_cell ctx (c : Pipeline.compiled) =
   match ctx.engine with
   | Execute ->
-      Mutex.protect ctx.traces_mu (fun () -> ctx.s_misses <- ctx.s_misses + 1);
+      bump ctx.s_misses 1;
       (Pipeline.simulate c, "execute")
   | Replay | Auto -> (
       let rs, replayed =
         time_group ctx ~reuse:(ctx.engine = Replay) (trace_key c) c []
       in
       (List.hd rs, if replayed then "replay" else "execute"))
-
-let run_key (b : Wutil.bench) opts = b.Wutil.name ^ "#" ^ opts_key opts
 
 let cell_of (c : Pipeline.compiled) r =
   {
@@ -377,10 +437,15 @@ let cell_of (c : Pipeline.compiled) r =
 (** Compile and simulate one benchmark under one configuration
     (memoised), returning the full telemetry cell. *)
 let run_cell ctx (b : Wutil.bench) (opts : Pipeline.options) =
-  let key = run_key b opts in
-  Rc_par.Memo.find_or_compute ctx.runs key (fun () ->
-      let c = compile_cell ctx b opts in
-      cell_of c (fst (simulate_cell ctx c)))
+  match
+    stage ctx
+      (Run (run_key b opts))
+      (fun () ->
+        let c = compile_cell ctx b opts in
+        Ran (cell_of c (fst (simulate_cell ctx c))))
+  with
+  | Ran c -> c
+  | _ -> assert false
 
 (** Compile and simulate one benchmark under one configuration
     (memoised). *)
@@ -443,14 +508,11 @@ let small_label (b : Wutil.bench) =
 
 (* --- batched prefetch --------------------------------------------------- *)
 
-(** Publish a prefetched cell under its run-memo key so the table
-    thunks find it already simulated.  [find_or_compute] with a
-    constant thunk: if a racing caller beat us to the key, both
-    computed the identical pure value. *)
+(** Publish a prefetched cell under its run key so the table thunks
+    find it already simulated.  If a racing caller beat us to the key,
+    both computed the identical pure value. *)
 let memo_cell ctx b opts (c : Pipeline.compiled) r =
-  ignore
-    (Rc_par.Memo.find_or_compute ctx.runs (run_key b opts) (fun () ->
-         cell_of c r))
+  ignore (Rc_par.Memo.add ctx.stages (Run (run_key b opts)) (Ran (cell_of c r)))
 
 (* One prefetch unit of work: every compiled cell sharing a trace key,
    timed by one {!time_group} call. *)
@@ -478,7 +540,8 @@ let prefetch ctx (deps : (Wutil.bench * Pipeline.options) list) =
     let bases = Hashtbl.create 16 in
     let keep acc ((b, opts) as dep) =
       let key = run_key b opts in
-      if Hashtbl.mem seen key || Rc_par.Memo.find_opt ctx.runs key <> None
+      if Hashtbl.mem seen key
+         || Option.is_some (Rc_par.Memo.find_opt ctx.stages (Run key))
       then acc
       else begin
         Hashtbl.add seen key ();
@@ -1048,7 +1111,10 @@ let ablation_unroll ctx =
 let cells ctx =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
-    (Rc_par.Memo.bindings ctx.runs)
+    (Rc_par.Memo.fold
+       (fun k v acc ->
+         match (k, v) with Run key, Ran c -> (key, c) :: acc | _ -> acc)
+       ctx.stages [])
 
 let pool_stats ctx = Rc_par.Pool.stats ctx.pool
 
@@ -1131,6 +1197,7 @@ let metrics_json ctx =
       ("jobs", Int (Rc_par.Pool.jobs ctx.pool));
       ("engine", Str (engine_name ctx.engine));
       ("trace_cache", engine_stats_json (engine_stats ctx));
+      ("stage_cache", stage_stats_json (stage_stats ctx));
       ("cells", List (List.map cell_json (cells ctx)));
       ("pool", List pool);
     ]

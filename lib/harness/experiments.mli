@@ -11,10 +11,13 @@ open Rc_workloads
 
 (** Memoising context: programs are prepared once per optimisation
     level and every (benchmark, configuration) simulation runs once.
-    With [jobs > 1] the context owns a {!Rc_par.Pool} of that many
-    domains and every table's cells are computed in parallel; the memo
-    tables are domain-safe and single-flight, and tables are
-    byte-identical for every jobs count. *)
+    Every stage — prepare, allocate, the back half, the trace and the
+    simulated cell — lives in one stage cache ({!Rc_par.Memo}), keyed
+    by what determines it.  With [jobs > 1] the context owns a
+    {!Rc_par.Pool} of that many domains and every table's cells are
+    computed in parallel; the stage cache is domain-safe and
+    single-flight, and tables are byte-identical for every jobs
+    count. *)
 type ctx
 
 (** How cells are timed.  [Execute] always runs the execution-driven
@@ -37,7 +40,9 @@ val engine_of_string : string -> engine option
 
 (** Trace-cache counters: every simulated cell increments exactly one
     of [hits] (timed by replaying a cached trace) or [misses]
-    (executed); [recorded]/[bytes] count the resident traces.  Under
+    (executed).  [recorded] counts the traces installed by recording,
+    a monotone total like [hits] and [misses]; [bytes] is the size of
+    the traces resident now, and falls when one is evicted.  Under
     [Execute] everything lands in [misses]. *)
 type engine_stats = {
   hits : int;
@@ -57,8 +62,15 @@ type engine_stats = {
     cells, groups them by trace key and times each group by one
     recording plus one {!Rc_machine.Trace_replay.replay_batch} pass;
     a group of one executes without recording unless its key was seen
-    before or a store is attached. *)
-val create : ?scale:int -> ?jobs:int -> ?engine:engine -> unit -> ctx
+    before or a store is attached.
+
+    [max_bytes] caps the stage cache: every stage result is charged
+    the bytes it keeps alive when it is published, and the
+    least-recently-used ones are evicted (and recomputed on their next
+    request) to keep the total under the cap.  Without it (the
+    default: sweeps, [rcc run]) nothing is sized or evicted. *)
+val create :
+  ?scale:int -> ?jobs:int -> ?engine:engine -> ?max_bytes:int -> unit -> ctx
 
 (** Number of computing domains of the context's pool. *)
 val jobs : ctx -> int
@@ -82,10 +94,26 @@ val engine_stats : ctx -> engine_stats
 (** The counters as the [trace_cache] JSON object: one key per field. *)
 val engine_stats_json : engine_stats -> Rc_obs.Json.t
 
-(** Export the trace-cache counters into a metrics registry
-    ([rcc_trace_cache_*], [rcc_timing_memo_*]): the monotone totals as
-    bridged counters, resident bytes as a gauge.  The server calls this
-    before rendering [GET /metrics]. *)
+(** The stage cache's levels. *)
+type stage_stats = {
+  entries : int;  (** resident entries, those being computed included *)
+  images : int;  (** resident compiled back halves *)
+  charged : int;  (** bytes charged to the resident entries (0 uncapped) *)
+  cap : int option;  (** the context's [max_bytes] *)
+  evictions : int;  (** entries evicted under the cap so far *)
+}
+
+val stage_stats : ctx -> stage_stats
+
+(** The levels as the [stage_cache] JSON object: [entries], [images],
+    [bytes], [cap] ([null] uncapped) and [evictions]. *)
+val stage_stats_json : stage_stats -> Rc_obs.Json.t
+
+(** Export the cache counters into a metrics registry
+    ([rcc_trace_cache_*], [rcc_timing_memo_*], [rcc_stage_cache_*]):
+    the monotone totals as bridged counters, resident bytes and entries
+    as gauges.  The server calls this before rendering
+    [GET /metrics]. *)
 val export_metrics : ctx -> Rc_obs.Metrics.t -> unit
 
 (** Attach an on-disk trace store (lib/serve/store.ml, or any other
@@ -124,8 +152,12 @@ type cell = {
 val run_cell : ctx -> Wutil.bench -> Pipeline.options -> cell
 
 (** The compile side of {!run_cell}: prepare and register-allocate
-    through the context's memo tables (warm across calls), then the
-    cheap timing-dependent back half on a fresh template copy. *)
+    through the stage cache (warm across calls), then the
+    timing-dependent back half on a fresh template copy.  The back
+    half is kept from a cell's second request on: the first only notes
+    the sighting, the second keeps the compiled image, and later
+    requests get that same value back (its [passes] are those of the
+    compile that produced it). *)
 val compile_cell : ctx -> Wutil.bench -> Pipeline.options -> Pipeline.compiled
 
 (** The simulate side of {!run_cell}, {e unmemoised}: every call goes
@@ -145,9 +177,10 @@ val run :
   Pipeline.options ->
   Rc_machine.Machine.result * Rc_isa.Mcode.size_breakdown * int
 
-(** Every cell simulated so far, sorted by cell key — a deterministic
-    merge of the per-domain work regardless of the jobs count (only the
-    wall-clock fields vary run to run). *)
+(** Every simulated cell resident in the stage cache (every cell
+    simulated so far, without a cap), sorted by cell key — a
+    deterministic merge of the per-domain work regardless of the jobs
+    count (only the wall-clock fields vary run to run). *)
 val cells : ctx -> (string * cell) list
 
 (** Per-domain telemetry of the context's pool. *)

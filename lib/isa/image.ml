@@ -15,6 +15,7 @@ type t = {
   stack_top : int;
   mem_size : int;
   data_image : (int * Mcode.init) list;  (** address, initialiser *)
+  fingerprint : string;  (** see {!fingerprint} *)
 }
 
 let data_base = 0x1000
@@ -59,6 +60,103 @@ let layout_globals (globals : Mcode.global list) =
 
 let function_address t name =
   try List.assoc name t.func_addr with Not_found -> raise (Undefined_function name)
+
+(* --- fingerprint ---------------------------------------------------------
+
+   Content hash of everything that determines an image's execution —
+   the trace-replay engine's cache key.  The address tables are derived
+   from [code] and need not be hashed.
+
+   The replay engine asks for the fingerprint of every cell it
+   considers — more than a thousand calls per sweep, each on a freshly
+   scheduled image — so the hash must cost microseconds, not the
+   ~100 µs a marshalled MD5 digest does.  Two independent polynomial
+   hashes over the image's scalar content (odd multipliers mod 2^63,
+   FNV-style xor-multiply step) give ~126 bits of accidental-collision
+   resistance for a single linear walk; the replay equivalence suite
+   (t_replay, @replay-smoke) bit-checks results, so a collision could
+   not corrupt tables silently.
+
+   {!assemble} hashes once and keeps the result in the image (20-55 µs
+   per kernel), so the service's repeated queries on one cached image
+   read a field.  Not an ephemeron table keyed by the image: in OCaml
+   5.1 a lookup keeps alive, for the current major cycle, every key it
+   compares, and with one lookup per request dead images were never
+   reclaimed (the heap grew without bound under never-repeated
+   configurations). *)
+
+type fp_state = { mutable h1 : int; mutable h2 : int }
+
+let[@inline] mix s x =
+  s.h1 <- (s.h1 lxor x) * 0x100000001b3;
+  s.h2 <- (s.h2 lxor x) * 0x10000000233
+
+let mix64 s v =
+  mix s (Int64.to_int v);
+  mix s (Int64.to_int (Int64.shift_right_logical v 32))
+
+let mix_string s str =
+  mix s (String.length str);
+  String.iter (fun c -> mix s (Char.code c)) str
+
+let mix_operand s ({ cls; r } : Insn.operand) =
+  mix s (match cls with Reg.Int -> 17 | Reg.Float -> 23);
+  mix s r
+
+let mix_insn s (i : Insn.t) =
+  (* [Opcode.t] is a shallow variant: the generic hash is total and
+     cheap on it, and total order of the remaining scalar fields pins
+     the rest of the instruction. *)
+  mix s (Hashtbl.hash i.Insn.op);
+  (match i.Insn.dst with
+  | None -> mix s 0
+  | Some o ->
+      mix s 1;
+      mix_operand s o);
+  mix s (Array.length i.Insn.srcs);
+  Array.iter (mix_operand s) i.Insn.srcs;
+  mix64 s i.Insn.imm;
+  mix64 s (Int64.bits_of_float i.Insn.fimm);
+  mix s i.Insn.target;
+  mix s (Bool.to_int i.Insn.hint);
+  mix s (Hashtbl.hash i.Insn.tag);
+  mix s (Array.length i.Insn.connects);
+  Array.iter
+    (fun ({ cmap; ri; rp; ccls } : Insn.connect) ->
+      mix s (match cmap with Insn.Read -> 29 | Insn.Write -> 31);
+      mix s ri;
+      mix s rp;
+      mix s (match ccls with Reg.Int -> 17 | Reg.Float -> 23))
+    i.Insn.connects
+
+let mix_init s (init : Mcode.init) =
+  match init with
+  | Mcode.Zero -> mix s 5
+  | Mcode.Words a ->
+      mix s 7;
+      mix s (Array.length a);
+      Array.iter (mix64 s) a
+  | Mcode.Doubles a ->
+      mix s 11;
+      mix s (Array.length a);
+      Array.iter (fun f -> mix64 s (Int64.bits_of_float f)) a
+  | Mcode.Bytes b ->
+      mix s 13;
+      mix_string s b
+
+let fp_compute ~entry ~stack_top ~mem_size code data_image =
+  let s = { h1 = 0x15ee7; h2 = 0x2a9d3 } in
+  mix s entry;
+  mix s stack_top;
+  mix s mem_size;
+  mix s (Array.length code);
+  Array.iter (mix_insn s) code;
+  List.iter
+    (fun (addr, init) ->
+      mix s addr;
+      mix_init s init)
+    data_image;
+  Printf.sprintf "%015x%015x" (s.h1 land max_int) (s.h2 land max_int)
 
 (** Lay out globals, flatten functions block by block, and patch branch
     targets.  [Jsr] targets must already be label ids of function entry
@@ -123,117 +221,7 @@ let assemble (prog : Mcode.t) =
     stack_top;
     mem_size;
     data_image;
+    fingerprint = fp_compute ~entry:0 ~stack_top ~mem_size code data_image;
   }
 
-(* --- fingerprint ---------------------------------------------------------
-
-   Content hash of everything that determines an image's execution —
-   the trace-replay engine's cache key.  The address tables are derived
-   from [code] and need not be hashed.
-
-   The replay engine asks for the fingerprint of every cell it
-   considers — more than a thousand calls per sweep, each on a freshly
-   scheduled image — so the hash must cost microseconds, not the
-   ~100 µs a marshalled MD5 digest does.  Two independent polynomial
-   hashes over the image's scalar content (odd multipliers mod 2^63,
-   FNV-style xor-multiply step) give ~126 bits of accidental-collision
-   resistance for a single linear walk; the replay equivalence suite
-   (t_replay, @replay-smoke) bit-checks results, so a collision could
-   not corrupt tables silently. *)
-
-type fp_state = { mutable h1 : int; mutable h2 : int }
-
-let[@inline] mix s x =
-  s.h1 <- (s.h1 lxor x) * 0x100000001b3;
-  s.h2 <- (s.h2 lxor x) * 0x10000000233
-
-let mix64 s v =
-  mix s (Int64.to_int v);
-  mix s (Int64.to_int (Int64.shift_right_logical v 32))
-
-let mix_string s str =
-  mix s (String.length str);
-  String.iter (fun c -> mix s (Char.code c)) str
-
-let mix_operand s ({ cls; r } : Insn.operand) =
-  mix s (match cls with Reg.Int -> 17 | Reg.Float -> 23);
-  mix s r
-
-let mix_insn s (i : Insn.t) =
-  (* [Opcode.t] is a shallow variant: the generic hash is total and
-     cheap on it, and total order of the remaining scalar fields pins
-     the rest of the instruction. *)
-  mix s (Hashtbl.hash i.Insn.op);
-  (match i.Insn.dst with
-  | None -> mix s 0
-  | Some o ->
-      mix s 1;
-      mix_operand s o);
-  mix s (Array.length i.Insn.srcs);
-  Array.iter (mix_operand s) i.Insn.srcs;
-  mix64 s i.Insn.imm;
-  mix64 s (Int64.bits_of_float i.Insn.fimm);
-  mix s i.Insn.target;
-  mix s (Bool.to_int i.Insn.hint);
-  mix s (Hashtbl.hash i.Insn.tag);
-  mix s (Array.length i.Insn.connects);
-  Array.iter
-    (fun ({ cmap; ri; rp; ccls } : Insn.connect) ->
-      mix s (match cmap with Insn.Read -> 29 | Insn.Write -> 31);
-      mix s ri;
-      mix s rp;
-      mix s (match ccls with Reg.Int -> 17 | Reg.Float -> 23))
-    i.Insn.connects
-
-let mix_init s (init : Mcode.init) =
-  match init with
-  | Mcode.Zero -> mix s 5
-  | Mcode.Words a ->
-      mix s 7;
-      mix s (Array.length a);
-      Array.iter (mix64 s) a
-  | Mcode.Doubles a ->
-      mix s 11;
-      mix s (Array.length a);
-      Array.iter (fun f -> mix64 s (Int64.bits_of_float f)) a
-  | Mcode.Bytes b ->
-      mix s 13;
-      mix_string s b
-
-let fp_compute (t : t) =
-  let s = { h1 = 0x15ee7; h2 = 0x2a9d3 } in
-  mix s t.entry;
-  mix s t.stack_top;
-  mix s t.mem_size;
-  mix s (Array.length t.code);
-  Array.iter (mix_insn s) t.code;
-  List.iter
-    (fun (addr, init) ->
-      mix s addr;
-      mix_init s init)
-    t.data_image;
-  Printf.sprintf "%015x%015x" (s.h1 land max_int) (s.h2 land max_int)
-
-(* Memoise per physical image (an ephemeron table keyed by identity —
-   cheap stable hash, [==] match — that drops entries with the images
-   themselves): repeated queries on one image, the common case in the
-   simulation service, cost a table probe. *)
-module Fp_cache = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash (t : t) = Hashtbl.hash (t.entry, Array.length t.code, t.data_end)
-end)
-
-let fp_cache = Fp_cache.create 64
-let fp_mu = Mutex.create ()
-
-let fingerprint (t : t) =
-  match Mutex.protect fp_mu (fun () -> Fp_cache.find_opt fp_cache t) with
-  | Some fp -> fp
-  | None ->
-      (* hash outside the lock: workers racing on one image at worst
-         both compute the same string *)
-      let fp = fp_compute t in
-      Mutex.protect fp_mu (fun () -> Fp_cache.replace fp_cache t fp);
-      fp
+let fingerprint t = t.fingerprint

@@ -15,6 +15,7 @@ type t = {
   stack_top : int;
   mem_size : int;
   data_image : (int * Mcode.init) list;  (** address, initialiser *)
+  fingerprint : string;  (** see {!val-fingerprint} *)
 }
 
 val data_base : int
@@ -50,5 +51,5 @@ val assemble : Mcode.t -> t
     code, entry point, initialised data, stack top and memory size.
     Two images with equal fingerprints produce identical dynamic
     instruction streams under identical machine semantics — the
-    trace-replay engine's cache key. *)
+    trace-replay engine's cache key.  Computed once, by {!assemble}. *)
 val fingerprint : t -> string

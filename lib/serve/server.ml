@@ -2,6 +2,7 @@
    server.mli for the contract. *)
 
 let version = "1.0.0"
+let stage_cache_bytes = 64 lsl 20
 
 type config = {
   host : string;

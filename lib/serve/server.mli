@@ -1,10 +1,12 @@
 (** The persistent simulation service behind [rcc serve].
 
     A hand-rolled HTTP/1.1 server (see {!Http}) over [Unix] sockets,
-    owning one long-lived {!Rc_harness.Experiments.ctx} so the
-    prepare/allocate memo tables and the trace cache stay warm across
-    requests: the second [/run] for any compiled-image fingerprint is
-    re-timed by {!Rc_machine.Trace_replay} instead of executed.
+    owning one long-lived {!Rc_harness.Experiments.ctx} so its stage
+    cache stays warm across requests: the second [/run] for any
+    compiled-image fingerprint is re-timed by
+    {!Rc_machine.Trace_replay} instead of executed, and from the third
+    on a configuration's compiled image is reused instead of
+    recompiled.
 
     Endpoints:
     - [POST /run]: one machine configuration + benchmark; the body is
@@ -17,10 +19,12 @@
       the {!Stats} registry — request counters by endpoint and status,
       request-duration histograms with cumulative [le] buckets, shed/
       abandoned totals, inflight and uptime gauges, and the harness
-      trace-cache counters ({!Rc_harness.Experiments.export_metrics}).
-    - [GET /metrics.json]: the pre-Prometheus JSON document, unchanged
-      ({!Rc_harness.Experiments.metrics_json} plus per-endpoint
-      request counts and latency quantiles).
+      trace- and stage-cache counters
+      ({!Rc_harness.Experiments.export_metrics}).
+    - [GET /metrics.json]: the pre-Prometheus JSON document
+      ({!Rc_harness.Experiments.metrics_json}, whose [stage_cache]
+      object holds the cache's entries, bytes, cap and evictions, plus
+      per-endpoint request counts and latency quantiles).
     - [GET /trace]: Chrome trace-event JSON of the most recent
       [trace_capacity] requests' span breakdowns (admission queue,
       read, parse, compile, simulate — tagged execute/replay — render,
@@ -46,6 +50,13 @@
 (** The service version reported by [GET /version] (kept in sync with
     the [rcc] CLI). *)
 val version : string
+
+(** The stage-cache cap [rcc serve] gives each worker process's
+    context ({!Rc_harness.Experiments.create} [~max_bytes]): 64 MiB,
+    about 2.4 times what a full 13-figure sweep charges, so
+    [POST /figures] with every id evicts nothing, while a stream of
+    never-repeated configurations cannot grow the heap without bound. *)
+val stage_cache_bytes : int
 
 type config = {
   host : string;  (** listen address, default ["127.0.0.1"] *)

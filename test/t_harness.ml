@@ -372,6 +372,78 @@ let test_trace_cache_policy () =
     ~misses:0 ~recorded:0;
   check "auto, warm store: nothing new published" 47 !published
 
+(* The back half is kept from a cell's second request: the first two
+   requests compile, the third gets the second's image back. *)
+let test_back_half_second_sighting () =
+  let b = Rc_workloads.Registry.find "cmp" in
+  let opts = E.reg_opts b ~label:16 ~rc:true () in
+  with_ctx ~engine:E.Replay (fun ctx ->
+      let c1 = E.compile_cell ctx b opts in
+      check "first request keeps no image" 0 (E.stage_stats ctx).E.images;
+      let c2 = E.compile_cell ctx b opts in
+      let c3 = E.compile_cell ctx b opts in
+      check_bool "first two compile separately" true (c1 != c2);
+      check_bool "third reuses the second" true (c2 == c3);
+      check "one image kept" 1 (E.stage_stats ctx).E.images)
+
+(* A sweep compiles each cell once, so it keeps no image. *)
+let test_sweep_keeps_no_image () =
+  with_ctx ~engine:E.Auto (fun ctx ->
+      ignore (E.fig12 ctx);
+      let s = E.stage_stats ctx in
+      check "no compiled image" 0 s.E.images;
+      check_bool "entries kept" true (s.E.entries > 0);
+      check "uncapped: nothing charged" 0 s.E.charged;
+      check "uncapped: nothing evicted" 0 s.E.evictions)
+
+(* 300 distinct configurations through a 2 MiB cache: bounded after
+   every call, evicting, and exact — every number equals an uncapped
+   context's. *)
+let test_capped_context () =
+  let b = Rc_workloads.Registry.find "cmp" in
+  let cap = 2 lsl 20 in
+  let configs =
+    List.init 300 (fun k ->
+        Rc_harness.Pipeline.options ~rc:(k mod 2 = 1)
+          ~core_int:(8 + (k / 2)) ())
+  in
+  let answer ctx opts =
+    let c = E.compile_cell ctx b opts in
+    let r, _ = E.simulate_cell ctx c in
+    (r, c.Rc_harness.Pipeline.breakdown, c.Rc_harness.Pipeline.spills,
+     c.Rc_harness.Pipeline.connects_inserted)
+  in
+  let capped =
+    let ctx = E.create ~jobs:1 ~engine:E.Replay ~max_bytes:cap () in
+    Fun.protect ~finally:(fun () -> E.shutdown ctx) (fun () ->
+        let rs =
+          List.map
+            (fun opts ->
+              let r = answer ctx opts in
+              let s = E.stage_stats ctx in
+              if s.E.charged > cap then
+                Alcotest.failf "charged %d bytes over a %d-byte cap" s.E.charged
+                  cap;
+              r)
+            configs
+        in
+        let s = E.stage_stats ctx in
+        check_bool "evicted" true (s.E.evictions > 0);
+        Alcotest.(check (option int)) "cap reported" (Some cap) s.E.cap;
+        rs)
+  in
+  let uncapped =
+    with_ctx ~engine:E.Replay (fun ctx -> List.map (answer ctx) configs)
+  in
+  List.iteri
+    (fun k ((r, bk, sp, cn), (r', bk', sp', cn')) ->
+      let what = Fmt.str "configuration %d" k in
+      check_bool (what ^ ": machine result") true (r = r');
+      check_bool (what ^ ": code size") true (bk = bk');
+      check (what ^ ": spills") sp' sp;
+      check (what ^ ": connects") cn' cn)
+    (List.combine capped uncapped)
+
 let suite =
   [
     ("pipeline verifies output", `Quick, test_pipeline_verifies);
@@ -394,4 +466,8 @@ let suite =
     ("shutdown of an idle pool", `Quick, test_shutdown_idle_pool);
     ("concurrent shutdown", `Quick, test_shutdown_concurrent);
     ("one trace-cache policy", `Slow, test_trace_cache_policy);
+    ("back half kept from the second request", `Quick,
+     test_back_half_second_sighting);
+    ("sweeps keep no compiled image", `Slow, test_sweep_keeps_no_image);
+    ("capped context bounded and exact", `Slow, test_capped_context);
   ]
